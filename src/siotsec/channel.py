@@ -14,6 +14,12 @@ from scipy import special
 
 SNR_MODES = ("direct", "pathloss")
 
+# Monte Carlo runs draw MC_BLOCK samples at a time, so memory is O(MC_BLOCK)
+# whatever the sample count; MC_MAX_SAMPLES is about 10 s of sampling.
+MC_BLOCK = 65_536
+MC_MIN_SAMPLES = 1000
+MC_MAX_SAMPLES = 10**8
+
 
 @dataclass(frozen=True)
 class LinkGeometry:
@@ -62,9 +68,24 @@ class RngSeed:
             if not isinstance(v, int) or not (0 <= v < 2**64):
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self, block: int = 0) -> np.random.Generator:
+        """Philox generator keyed by (seed, stream_id), starting at counter word 3 = block."""
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        counter = np.array([0, 0, 0, block], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+    def blocks(self, n: int):
+        """(generator, size) for each MC_BLOCK-sample block of an n-sample run.
+
+        Block b draws from its own Philox counter range (counter word 3 = b),
+        so block 0 is `generator()`'s stream and the draws depend only on the
+        seed and n.  Raises ValueError unless MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES.
+        """
+        if not isinstance(n, int) or not (MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES):
+            raise ValueError(f"Monte Carlo sample count must be an integer in "
+                             f"[{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}], got {n!r}")
+        return ((self.generator(b), min(MC_BLOCK, n - b * MC_BLOCK))
+                for b in range(-(-n // MC_BLOCK)))
 
     def with_stream(self, stream_id: int) -> "RngSeed":
         return RngSeed(self.seed, stream_id)

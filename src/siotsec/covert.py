@@ -11,13 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
 from scipy import integrate, special
 
 from .channel import RngSeed
-from .estimate import EstimateWithError
-
-MC_MIN_TRIALS = 1000
+from .estimate import EstimateWithError, mc_estimate
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,9 @@ def hypothesis_total_variation(w: WardenModel) -> float:
                         - special.gammaln(n) - n * math.log(scale))
 
     hi = float(special.gammaincinv(n, 1.0 - 1e-12)) * s1
+    # |f1 - f0| has a kink where the densities cross; give quad that breakpoint
     val, _ = integrate.quad(lambda x: 0.5 * abs(gpdf(x, s1) - gpdf(x, s0)),
-                            1e-300, hi, limit=400)
+                            1e-300, hi, limit=400, points=[optimal_threshold(w)])
     return val
 
 
@@ -163,11 +161,5 @@ def dfp_mc(dep: float, n_int: int, trials: int, seed: RngSeed) -> EstimateWithEr
         raise ValueError(f"dep must be in [0, 1], got {dep}")
     if not isinstance(n_int, int) or n_int < 0:
         raise ValueError(f"n_int must be an integer >= 0, got {n_int!r}")
-    if trials < MC_MIN_TRIALS:
-        raise ValueError(f"trials must be >= {MC_MIN_TRIALS}, got {trials}")
-    if n_int == 0:
-        return EstimateWithError(1.0, 0.0, trials)
-    rng = seed.generator()
-    detections = rng.binomial(n_int, 1.0 - dep, size=trials)
-    v = float(np.mean(detections == 0))
-    return EstimateWithError(v, math.sqrt(v * (1.0 - v) / trials), trials)
+    return mc_estimate(trials, seed,
+                       lambda rng, size: rng.binomial(n_int, 1.0 - dep, size=size) == 0)

@@ -26,7 +26,16 @@ import numpy as np
 
 from . import __version__
 from .attack import AttackConfig, ToyEncoder, defense_eval, encode, run_attack
-from .channel import AntennaConfig, LinkGeometry, RngSeed, SNR_MODES, avg_received_snr, make_snr_model
+from .channel import (
+    MC_MAX_SAMPLES,
+    MC_MIN_SAMPLES,
+    SNR_MODES,
+    AntennaConfig,
+    LinkGeometry,
+    RngSeed,
+    avg_received_snr,
+    make_snr_model,
+)
 from .covert import WardenModel, dep_energy_detector, dep_optimal, dfp, dfp_mc
 from .images import random_image
 from .secrecy import (
@@ -44,6 +53,7 @@ from .secrecy import (
 
 EXPERIMENT_KINDS = ("fig3_sweep", "fig5_sweep", "attack_demo", "single_metric")
 SINGLE_METRICS = ("sop", "pnz", "asc", "ssop", "dep", "dfp")
+MAX_GRID_POINTS = 10_001
 
 
 class SpecError(ValueError):
@@ -162,7 +172,8 @@ class SingleMetricParams:
     def __post_init__(self):
         _require(self.metric in SINGLE_METRICS, "metric", f"must be one of {SINGLE_METRICS}")
         _require(self.method in ("numeric", "mc"), "method", "must be 'numeric' or 'mc'")
-        _require(self.mc_samples >= 1000, "mc_samples", "must be >= 1000")
+        _require(MC_MIN_SAMPLES <= self.mc_samples <= MC_MAX_SAMPLES, "mc_samples",
+                 f"must be in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}]")
         _require(math.isfinite(self.snr_b_db), "snr_b_db", "must be finite")
         _require(math.isfinite(self.eve_snr_db), "eve_snr_db", "must be finite")
         for name in ("tx_antennas", "rx_antennas", "eve_antennas"):
@@ -217,7 +228,11 @@ def _validate_grid(name: str, start: float, stop: float, step: float):
     _require(math.isfinite(start) and math.isfinite(stop), f"{name}_start", "must be finite")
     _require(math.isfinite(step) and step > 0, f"{name}_step", "must be > 0")
     _require(start <= stop, f"{name}_start", "must be <= stop")
-    n = int(round((stop - start) / step)) + 1
+    # compared as a float first: a tiny step can make the span/step ratio inf
+    intervals = (stop - start) / step
+    _require(intervals < MAX_GRID_POINTS - 0.5, f"{name}_step",
+             f"gives more than {MAX_GRID_POINTS} grid points")
+    n = int(round(intervals)) + 1
     _require(abs(start + (n - 1) * step - stop) <= 1e-9 * max(1.0, abs(stop)),
              f"{name}_step", "must evenly divide the grid span")
 

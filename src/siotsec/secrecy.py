@@ -1,8 +1,9 @@
 """Physical-layer-security metrics and their semantic-aware variants.
 
 Classical metrics (SOP, PNZ, ASC) are computed two ways: adaptive quadrature
-against the Gamma link models, and Monte Carlo over paired SNR draws.  The
-semantic variant scales SOP by the eavesdropper's decoding success rate.
+against the Gamma link models, and Monte Carlo over paired SNR draws streamed
+in the seed's fixed-size blocks.  The semantic variant scales SOP by the
+eavesdropper's decoding success rate.
 
 Quadrature identities, with F/f the CDF/PDF of the legitimate (B) and
 eavesdropping (E) links and Rs the target secrecy rate:
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import integrate
 
 from .channel import RngSeed, SnrModel, snr_cdf, snr_pdf, snr_quantile
-from .estimate import EstimateWithError
+from .estimate import EstimateWithError, mc_estimate
 
 _LN2 = math.log(2.0)
 # absolute quadrature tolerance; results above _QUAD_FAIL residual are rejected
@@ -32,7 +33,6 @@ _QUAD_EPSABS = 1e-9
 _QUAD_FAIL = 1e-6
 _TAIL_PROB = 1e-10
 
-MC_MIN_SAMPLES = 1000
 DEFAULT_MC_SAMPLES = 10**6
 SAVING_BRACKET_DB = (-20.0, 60.0)
 SAVING_TOL_DB = 0.01
@@ -126,30 +126,24 @@ def sop_numeric(s: SecrecyScenario) -> float:
     return min(1.0, max(0.0, val))
 
 
-def _draw_pair(s: SecrecyScenario, n: int, seed: RngSeed):
-    rng = seed.generator()
-    gb = rng.gamma(s.snr_b.gamma_shape, s.snr_b.mean_branch_snr, size=n)
-    ge = rng.gamma(s.snr_e.gamma_shape, s.snr_e.mean_branch_snr, size=n)
-    return gb, ge
+def _paired_draw(s: SecrecyScenario, statistic):
+    """Per-block draw for mc_estimate: statistic(gamma_B, gamma_E) over paired SNR draws."""
+    def draw(rng, size):
+        gb = rng.gamma(s.snr_b.gamma_shape, s.snr_b.mean_branch_snr, size=size)
+        ge = rng.gamma(s.snr_e.gamma_shape, s.snr_e.mean_branch_snr, size=size)
+        return statistic(gb, ge)
+    return draw
 
 
 def sop_mc(s: SecrecyScenario, n: int, seed: RngSeed) -> EstimateWithError:
     """Monte Carlo SOP: fraction of paired draws whose capacity gap is below Rs."""
-    if n < MC_MIN_SAMPLES:
-        raise ValueError(f"n must be >= {MC_MIN_SAMPLES}, got {n}")
-    gb, ge = _draw_pair(s, n, seed)
-    gap = np.log2(1.0 + gb) - np.log2(1.0 + ge)
-    v = float(np.mean(gap < s.rate_threshold))
-    return EstimateWithError(v, math.sqrt(v * (1.0 - v) / n), n)
+    return mc_estimate(n, seed, _paired_draw(
+        s, lambda gb, ge: np.log2(1.0 + gb) - np.log2(1.0 + ge) < s.rate_threshold))
 
 
 def pnz_mc(s: SecrecyScenario, n: int, seed: RngSeed) -> EstimateWithError:
     """Monte Carlo probability of non-zero secrecy capacity."""
-    if n < MC_MIN_SAMPLES:
-        raise ValueError(f"n must be >= {MC_MIN_SAMPLES}, got {n}")
-    gb, ge = _draw_pair(s, n, seed)
-    v = float(np.mean(gb > ge))
-    return EstimateWithError(v, math.sqrt(v * (1.0 - v) / n), n)
+    return mc_estimate(n, seed, _paired_draw(s, np.greater))
 
 
 def pnz(s: SecrecyScenario, method: str = "numeric", *,
@@ -169,11 +163,8 @@ def pnz(s: SecrecyScenario, method: str = "numeric", *,
 
 def asc_mc(s: SecrecyScenario, n: int, seed: RngSeed) -> EstimateWithError:
     """Monte Carlo average secrecy capacity."""
-    if n < MC_MIN_SAMPLES:
-        raise ValueError(f"n must be >= {MC_MIN_SAMPLES}, got {n}")
-    gb, ge = _draw_pair(s, n, seed)
-    cs = np.maximum(0.0, np.log2(1.0 + gb) - np.log2(1.0 + ge))
-    return EstimateWithError(float(np.mean(cs)), float(np.std(cs) / math.sqrt(n)), n)
+    return mc_estimate(n, seed, _paired_draw(
+        s, lambda gb, ge: np.maximum(0.0, np.log2(1.0 + gb) - np.log2(1.0 + ge))))
 
 
 def asc(s: SecrecyScenario, method: str = "numeric", *,

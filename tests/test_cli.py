@@ -123,7 +123,7 @@ def test_sweep_determinism_across_invocations(capsys, tmp_path):
 def test_cli_seed_overrides_spec(capsys, tmp_path):
     spec_file = tmp_path / "m.cfg"
     spec_file.write_text("[experiment]\nkind = single_metric\nseed = 1\n"
-                         "[metric]\nmetric = sop\nmethod = mc\nmc_samples = 5000\n")
+                         "[metric]\nmetric = sop\nmethod = mc\nmc_samples = 200000\n")
     _, out1, _ = run_cli(capsys, "sweep", "--spec", str(spec_file))
     _, out2, _ = run_cli(capsys, "sweep", "--spec", str(spec_file), "--seed", "2")
     _, out3, _ = run_cli(capsys, "sweep", "--spec", str(spec_file), "--seed", "2")
@@ -142,3 +142,13 @@ def test_error_paths_exit_nonzero(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "dfp", "--dep", "1.5")
     assert code == 1 and "dep" in err
+
+
+@pytest.mark.parametrize("command", ["sop", "pnz", "asc", "dfp"])
+def test_oversized_mc_samples_is_one_error_line(capsys, command):
+    code, out, err = run_cli(capsys, command, "--method", "mc",
+                             "--mc-samples", "100000000000")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("siotsec: error:") and "mc_samples" in lines[0]

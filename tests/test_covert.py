@@ -170,7 +170,8 @@ def test_dep_optimal_decreases_with_signal_power():
 
 
 def test_dep_optimal_equals_one_minus_total_variation():
-    for w in (WardenModel(1.0, 1.0, 20), WardenModel(2.0, 0.5, 8), WardenModel(1.0, 0.0, 5)):
+    for w in (WardenModel(1.0, 1.0, 20), WardenModel(2.0, 0.5, 8), WardenModel(1.0, 0.0, 5),
+              WardenModel(1.0, 0.33, 20)):
         tv = hypothesis_total_variation(w)
         dep_min = dep_optimal(w).dep_min
         assert max(0.0, 1.0 - tv) <= dep_min + 1e-9 <= 1.0 + 1e-9

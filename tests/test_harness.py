@@ -7,6 +7,7 @@ import pytest
 
 from siotsec import (
     ExperimentSpec,
+    Fig3Params,
     Fig5Params,
     ResultTable,
     SemanticProfile,
@@ -66,6 +67,22 @@ def test_parse_rejects_bad_specs():
         spec_of("fig3_sweep", "[fig3]\nsdep_list = 0.3, 1.7\n")
     with pytest.raises(SpecError, match="snr_db_step"):
         spec_of("fig3_sweep", "[fig3]\nsnr_db_step = 0.7\n")
+
+
+@pytest.mark.parametrize("kind,body,field", [
+    ("fig3_sweep", "[fig3]\nsnr_db_step = 1e-9\n", "snr_db_step"),
+    ("fig3_sweep", "[fig3]\nsnr_db_step = 5e-324\n", "snr_db_step"),
+    ("fig5_sweep", "[fig5]\nratio_start = 1e-10\nratio_step = 1e-10\n", "ratio_step"),
+])
+def test_oversized_grids_rejected(kind, body, field):
+    with pytest.raises(SpecError, match=f"{field}: gives more than 10001 grid points"):
+        spec_of(kind, body)
+
+
+def test_grid_size_limit_is_inclusive():
+    Fig3Params(snr_db_stop=10000.0, snr_db_step=1.0)
+    with pytest.raises(SpecError, match="snr_db_step"):
+        Fig3Params(snr_db_stop=10001.0, snr_db_step=1.0)
 
 
 def test_parse_accepts_annotated_configs():
