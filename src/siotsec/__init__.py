@@ -63,6 +63,7 @@ from .harness import (
     ResultTable,
     SingleMetricParams,
     SpecError,
+    attack_demo,
     emit_table,
     parse_spec,
     render_table,

@@ -1,8 +1,12 @@
 """Command-line interface: one metric per invocation, plus declarative sweeps.
 
-Every command prints a small CSV (or JSON) table to stdout or --out; sweep
-runs a config file.  Exit code is 0 on success, 1 with a diagnostic line on
-stderr otherwise.
+Every subcommand is a front end on the spec parser.  Its flags are fields
+of one `*Params` dataclass; the values a user sets pass on as raw strings,
+so unset flags take the dataclass defaults and bad values raise the same
+field-named SpecError as a spec file.  Every command prints a small CSV (or
+JSON) table to stdout or --out; sweep runs a config file.  Exit code is 0 on
+success, 1 with one diagnostic line on stderr otherwise, usage errors
+included.
 """
 from __future__ import annotations
 
@@ -11,150 +15,115 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .attack import run_attack, encode
+from .covert import CovertScenario, num_detections
 from .harness import (
+    KIND_SECTIONS,
     AttackParams,
     ExperimentSpec,
-    SingleMetricParams,
+    Fig5Params,
     SpecError,
-    attack_fixture,
+    attack_demo,
+    build_spec,
     emit_table,
-    parse_spec,
+    read_sections,
     render_table,
     run_experiment,
 )
 from .images import write_pnm
 from .secrecy import BracketError, QuadratureError
 
-DEFAULT_SEED = 1234
+# fields whose flag is not "--" + the field name with "_" replaced by "-"
+_LEGACY_FLAGS = {"eve_snr_db": "--snr-e-db", "rate_threshold": "--rate",
+                 "warden_samples": "--samples", "max_iters": "--iters"}
+_SECRECY = ("snr_b_db", "eve_snr_db", "tx_antennas", "rx_antennas", "eve_antennas",
+            "rate_threshold")
+_MC = ("method", "mc_samples")
+# subcommand -> (help, experiment kind, params fields it exposes, fixed params keys)
+_COMMANDS = {
+    "sop": ("secrecy outage probability", "single_metric", _MC + _SECRECY,
+            {"metric": "sop"}),
+    "pnz": ("probability of non-zero secrecy capacity", "single_metric", _MC + _SECRECY,
+            {"metric": "pnz"}),
+    "asc": ("average secrecy capacity", "single_metric", _MC + _SECRECY, {"metric": "asc"}),
+    "ssop": ("semantic secrecy outage probability", "single_metric", _SECRECY + ("sdep",),
+             {"metric": "ssop"}),
+    "dep": ("warden detection error probability", "single_metric",
+            ("noise_power", "signal_power", "warden_samples", "threshold"), {"metric": "dep"}),
+    "dfp": ("detection failure probability", "single_metric", _MC + ("dep", "detections"),
+            {"metric": "dfp"}),
+    "attack": ("seeded semantic attack demo", "attack_demo",
+               tuple(f.name for f in dataclasses.fields(AttackParams)), {}),
+}
+# without --detections, dfp takes the look count from these through the covert model
+_LOOK_FLAGS = (("--rate-hz", Fig5Params, "detection_rate_hz"),
+               ("--data-bits", Fig5Params, "source_bits"),
+               ("--covert-rate", Fig5Params, "covert_rate_bps_hz"),
+               ("--bandwidth-hz", Fig5Params, "bandwidth_hz"),
+               ("--ratio", CovertScenario, "compression_ratio"))
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default csv)")
-    common.add_argument("--out", default="", help="output file (default stdout)")
-    common.add_argument("--mc-samples", type=int, default=10**6,
-                        help="Monte Carlo sample count (default 1e6)")
-    return common
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error keeps the CLI contract: main reports it on one line, exit 1
+        raise SpecError(message)
 
 
-def _add_secrecy_flags(sp: argparse.ArgumentParser):
-    sp.add_argument("--snr-b-db", type=float, default=10.0, help="legitimate mean SNR, dB")
-    sp.add_argument("--snr-e-db", type=float, default=0.0, help="eavesdropper mean SNR, dB")
-    sp.add_argument("--tx-antennas", type=int, default=3)
-    sp.add_argument("--rx-antennas", type=int, default=3)
-    sp.add_argument("--eve-antennas", type=int, default=3)
-    sp.add_argument("--rate", type=float, default=1.0, help="target secrecy rate, bit/s/Hz")
-    sp.add_argument("--method", choices=("numeric", "mc"), default="numeric")
+def _help(cls, name: str) -> str:
+    f = next(f for f in dataclasses.fields(cls) if f.name == name)
+    return f"{f.metadata['help']} (default {f.default})"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="siotsec",
-                                description="Semantic-IoT security metric toolkit")
-    common = _common_flags()
+    p = _Parser(prog="siotsec", description="Semantic-IoT security metric toolkit")
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", help=_help(ExperimentSpec, "seed"))
+    common.add_argument("--format", help=_help(ExperimentSpec, "out_format"))
+    common.add_argument("--out", default="", help="output file (default stdout)")
     sub = p.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (("sop", "secrecy outage probability"),
-                            ("pnz", "probability of non-zero secrecy capacity"),
-                            ("asc", "average secrecy capacity"),
-                            ("ssop", "semantic secrecy outage probability")):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        _add_secrecy_flags(sp)
-        if name == "ssop":
-            sp.add_argument("--sdep", type=float, default=0.3,
-                            help="semantic decoding error probability")
-
-    sp = sub.add_parser("dep", parents=[common], help="warden detection error probability")
-    sp.add_argument("--noise-power", type=float, default=1.0)
-    sp.add_argument("--signal-power", type=float, default=0.5)
-    sp.add_argument("--samples", type=int, default=20, help="energy samples per look")
-    sp.add_argument("--threshold", type=float, default=-1.0,
-                    help="energy threshold (negative = optimal)")
-
-    sp = sub.add_parser("dfp", parents=[common], help="detection failure probability")
-    sp.add_argument("--dep", type=float, default=0.95)
-    sp.add_argument("--detections", type=float, default=None,
-                    help="number of warden looks (overrides rate/data computation)")
-    sp.add_argument("--rate-hz", type=float, default=2.0, help="warden looks per second")
-    sp.add_argument("--data-bits", type=float, default=1.0e9)
-    sp.add_argument("--covert-rate", type=float, default=20.0, help="bit/s/Hz")
-    sp.add_argument("--bandwidth-hz", type=float, default=5.0e6)
-    sp.add_argument("--ratio", type=float, default=1.0, help="semantic compression ratio")
-    sp.add_argument("--method", choices=("numeric", "mc"), default="numeric")
-
-    sp = sub.add_parser("attack", parents=[common], help="seeded semantic attack demo")
-    sp.add_argument("--mode", choices=("targeted", "untargeted"), default="targeted")
-    sp.add_argument("--epsilon", type=float, default=0.1)
-    sp.add_argument("--step-size", type=float, default=0.1 / 25)
-    sp.add_argument("--iters", type=int, default=300)
-    sp.add_argument("--height", type=int, default=16)
-    sp.add_argument("--width", type=int, default=16)
-    sp.add_argument("--channels", type=int, default=1)
-    sp.add_argument("--hidden-dim", type=int, default=32)
-    sp.add_argument("--embed-dim", type=int, default=8)
-    sp.add_argument("--blur-sigma", type=float, default=1.5)
-    sp.add_argument("--blur-radius", type=int, default=3)
-    sp.add_argument("--save-image", default="", help="write the adversarial image (PGM/PPM)")
-
+    for command, (help_text, kind, names, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, parents=[common], help=help_text)
+        cls = KIND_SECTIONS[kind][1]
+        for name in names:
+            sp.add_argument(_LEGACY_FLAGS.get(name, "--" + name.replace("_", "-")), dest=name,
+                            help=_help(cls, name))
+    for flag, cls, name in _LOOK_FLAGS:
+        sub.choices["dfp"].add_argument(flag, dest=name, type=float, default=getattr(cls, name),
+                                        help=_help(cls, name))
+    sub.choices["attack"].add_argument("--save-image", default="",
+                                       help="write the adversarial image (PGM/PPM)")
     sp = sub.add_parser("sweep", parents=[common], help="run a spec file")
     sp.add_argument("--spec", required=True, help="experiment config file")
     return p
 
 
 def _build_spec(args) -> ExperimentSpec:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    fmt = args.format or "csv"
+    experiment = {key: getattr(args, key) for key in ("seed", "format")
+                  if getattr(args, key) is not None}
     if args.command == "sweep":
-        spec = parse_spec(Path(args.spec).read_text(encoding="utf-8"))
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
-        if args.format is not None:
-            spec = dataclasses.replace(spec, out_format=args.format)
-        return spec
-    if args.command in ("sop", "pnz", "asc", "ssop"):
-        return ExperimentSpec(
-            kind="single_metric", seed=seed, out_format=fmt,
-            metric=SingleMetricParams(
-                metric=args.command, method=args.method, mc_samples=args.mc_samples,
-                snr_b_db=args.snr_b_db, eve_snr_db=args.snr_e_db,
-                tx_antennas=args.tx_antennas, rx_antennas=args.rx_antennas,
-                eve_antennas=args.eve_antennas, rate_threshold=args.rate,
-                sdep=getattr(args, "sdep", 0.3)))
-    if args.command == "dep":
-        return ExperimentSpec(
-            kind="single_metric", seed=seed, out_format=fmt,
-            metric=SingleMetricParams(
-                metric="dep", noise_power=args.noise_power, signal_power=args.signal_power,
-                warden_samples=args.samples, threshold=args.threshold))
-    if args.command == "dfp":
-        if args.detections is not None:
-            n = args.detections
-        else:
-            n = args.rate_hz * args.ratio * args.data_bits / (args.covert_rate * args.bandwidth_hz)
-        return ExperimentSpec(
-            kind="single_metric", seed=seed, out_format=fmt,
-            metric=SingleMetricParams(metric="dfp", method=args.method,
-                                      mc_samples=args.mc_samples, dep=args.dep, detections=n))
-    # attack
-    return ExperimentSpec(
-        kind="attack_demo", seed=seed, out_format=fmt,
-        attack=AttackParams(
-            mode=args.mode, epsilon=args.epsilon, step_size=args.step_size,
-            max_iters=args.iters, height=args.height, width=args.width,
-            channels=args.channels, hidden_dim=args.hidden_dim, embed_dim=args.embed_dim,
-            blur_sigma=args.blur_sigma, blur_radius=args.blur_radius))
+        sections = read_sections(Path(args.spec).read_text(encoding="utf-8"))
+        if "experiment" in sections:
+            sections["experiment"].update(experiment)
+        return build_spec(sections)
+    _, kind, names, fixed = _COMMANDS[args.command]
+    params = dict(fixed, **{name: getattr(args, name) for name in names
+                            if getattr(args, name) is not None})
+    if args.command == "dfp" and "detections" not in params:
+        # the warden's DEP does not enter the look count
+        scenario = CovertScenario(dep=Fig5Params.dep,
+                                  **{name: getattr(args, name) for _, _, name in _LOOK_FLAGS})
+        params["detections"] = repr(num_detections(scenario))
+    return build_spec({"experiment": {"kind": kind, **experiment},
+                       KIND_SECTIONS[kind][0]: params})
 
 
 def _run(args) -> int:
     spec = _build_spec(args)
-    table = run_experiment(spec)
-
-    if args.command == "attack" and args.save_image:
-        enc, src, reference_img, cfg = attack_fixture(spec.seed, spec.attack)
-        trace = run_attack(enc, src, encode(enc, reference_img), cfg)
-        write_pnm(trace.adversarial, args.save_image)
+    if args.command == "attack":
+        table, adversarial = attack_demo(spec)
+        if args.save_image:
+            write_pnm(adversarial, args.save_image)
+    else:
+        table = run_experiment(spec)
 
     out = args.out or spec.out_path
     if out:
@@ -165,9 +134,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except (SpecError, BracketError, QuadratureError, ValueError, OSError) as e:
         print(f"siotsec: error: {e}", file=sys.stderr)
         return 1

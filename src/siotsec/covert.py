@@ -8,7 +8,7 @@ independent looks with probability DEP**N, where N = f * (rho * D) / (R * B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from scipy import integrate, special
@@ -47,7 +47,8 @@ class CovertScenario:
     covert_rate_bps_hz: float
     bandwidth_hz: float
     source_bits: float
-    compression_ratio: float = 1.0
+    compression_ratio: float = field(default=1.0,
+                                     metadata={"help": "semantic compression ratio rho"})
 
     def __post_init__(self):
         if not (0.0 < self.dep <= 1.0):
@@ -87,7 +88,8 @@ def transmission_time_s(s: CovertScenario) -> float:
 
 def num_detections(s: CovertScenario) -> float:
     """Expected number of warden looks during the transfer: f * rho * D / (R * B)."""
-    return s.detection_rate_hz * transmission_time_s(s)
+    return (s.detection_rate_hz * s.compression_ratio * s.source_bits
+            / (s.covert_rate_bps_hz * s.bandwidth_hz))
 
 
 def dfp(dep: float, n_detections: float) -> float:

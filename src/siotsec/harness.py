@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ from .channel import (
     make_snr_model,
 )
 from .covert import WardenModel, dep_energy_detector, dep_optimal, dfp, dfp_mc
-from .images import random_image
+from .images import ImageTensor, random_image
 from .secrecy import (
     QuadratureError,
     SecrecyScenario,
@@ -60,9 +62,14 @@ class SpecError(ValueError):
     """Config text is malformed or violates a field constraint."""
 
 
-def _require(cond: bool, field: str, message: str):
+def _require(cond: bool, name: str, message: str):
     if not cond:
-        raise SpecError(f"{field}: {message}")
+        raise SpecError(f"{name}: {message}")
+
+
+def _doc(default, help_text: str):
+    """A field default with the help text its CLI flag shows."""
+    return field(default=default, metadata={"help": help_text})
 
 
 @dataclass(frozen=True)
@@ -106,10 +113,10 @@ class Fig5Params:
     ratio_stop: float = 1.0
     ratio_step: float = 0.1
     dep: float = 0.95
-    detection_rate_hz: float = 2.0
-    covert_rate_bps_hz: float = 20.0
-    bandwidth_hz: float = 5.0e6
-    source_bits: float = 1.0e9
+    detection_rate_hz: float = _doc(2.0, "warden looks per second")
+    covert_rate_bps_hz: float = _doc(20.0, "covert rate, bit/s/Hz")
+    bandwidth_hz: float = _doc(5.0e6, "bandwidth, Hz")
+    source_bits: float = _doc(1.0e9, "uncompressed payload, bits")
 
     def __post_init__(self):
         _validate_grid("ratio", self.ratio_start, self.ratio_stop, self.ratio_step)
@@ -126,17 +133,17 @@ class Fig5Params:
 class AttackParams:
     """Seeded attack fixture: image/encoder sizes, budget, and blur defense."""
 
-    mode: str = "targeted"
-    epsilon: float = 0.1
-    step_size: float = 0.1 / 25
-    max_iters: int = 300
-    height: int = 16
-    width: int = 16
-    channels: int = 1
-    hidden_dim: int = 32
-    embed_dim: int = 8
-    blur_sigma: float = 1.5
-    blur_radius: int = 3
+    mode: str = _doc(AttackConfig.mode, "targeted | untargeted")
+    epsilon: float = _doc(AttackConfig.epsilon, "L-infinity pixel budget")
+    step_size: float = _doc(AttackConfig.step_size, "sign-gradient step")
+    max_iters: int = _doc(AttackConfig.max_iters, "attack iterations")
+    height: int = _doc(16, "image height, pixels")
+    width: int = _doc(16, "image width, pixels")
+    channels: int = _doc(1, "image channels (1 gray, 3 color)")
+    hidden_dim: int = _doc(32, "encoder hidden units")
+    embed_dim: int = _doc(8, "embedding dimension")
+    blur_sigma: float = _doc(1.5, "defense blur sigma, pixels")
+    blur_radius: int = _doc(3, "defense blur radius, pixels")
 
     def __post_init__(self):
         # AttackConfig re-validates mode/budget; check the fixture dims here
@@ -152,26 +159,28 @@ class AttackParams:
 class SingleMetricParams:
     """One metric evaluation; which fields matter depends on `metric`."""
 
-    metric: str = "sop"
-    method: str = "numeric"
-    mc_samples: int = 10**6
-    snr_b_db: float = 10.0
-    eve_snr_db: float = 0.0
-    tx_antennas: int = 3
-    rx_antennas: int = 3
-    eve_antennas: int = 3
-    rate_threshold: float = 1.0
-    sdep: float = 0.3
-    dep: float = 0.95
-    detections: float = 20.0
-    noise_power: float = 1.0
-    signal_power: float = 0.5
-    warden_samples: int = 20
-    threshold: float = -1.0  # negative -> use the optimal threshold
+    metric: str = _doc("sop", "sop | pnz | asc | ssop | dep | dfp")
+    method: str = _doc("numeric", "numeric | mc (mc adds std_error, n_samples columns)")
+    mc_samples: int = _doc(10**6, "Monte Carlo sample count")
+    snr_b_db: float = _doc(10.0, "legitimate mean SNR, dB")
+    eve_snr_db: float = _doc(0.0, "eavesdropper mean SNR, dB")
+    tx_antennas: int = _doc(3, "transmit antennas")
+    rx_antennas: int = _doc(3, "legitimate receive antennas")
+    eve_antennas: int = _doc(3, "eavesdropper receive antennas")
+    rate_threshold: float = _doc(1.0, "target secrecy rate, bit/s/Hz")
+    sdep: float = _doc(0.3, "semantic decoding error probability")
+    dep: float = _doc(0.95, "warden detection error probability per look")
+    detections: float = _doc(20.0, "warden looks N = f*rho*D/(R*B)")
+    noise_power: float = _doc(1.0, "warden noise power")
+    signal_power: float = _doc(0.5, "signal power at the warden")
+    warden_samples: int = _doc(20, "energy samples per look")
+    threshold: float = _doc(-1.0, "energy threshold (negative = optimal)")
 
     def __post_init__(self):
         _require(self.metric in SINGLE_METRICS, "metric", f"must be one of {SINGLE_METRICS}")
         _require(self.method in ("numeric", "mc"), "method", "must be 'numeric' or 'mc'")
+        _require(self.method == "numeric" or self.metric not in ("ssop", "dep"), "method",
+                 f"{self.metric} has no Monte Carlo route; must be 'numeric'")
         _require(MC_MIN_SAMPLES <= self.mc_samples <= MC_MAX_SAMPLES, "mc_samples",
                  f"must be in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}]")
         _require(math.isfinite(self.snr_b_db), "snr_b_db", "must be finite")
@@ -187,7 +196,7 @@ class SingleMetricParams:
         _require(self.warden_samples >= 1, "warden_samples", "must be >= 1")
 
 
-_KIND_SECTIONS = {
+KIND_SECTIONS = {
     "fig3_sweep": ("fig3", Fig3Params),
     "fig5_sweep": ("fig5", Fig5Params),
     "attack_demo": ("attack", AttackParams),
@@ -200,8 +209,8 @@ class ExperimentSpec:
     """Validated experiment description; exactly one kind-params block is set."""
 
     kind: str
-    seed: int = 1234
-    out_format: str = "csv"
+    seed: int = _doc(1234, "master RNG seed")
+    out_format: str = _doc("csv", "output format, csv | json")
     out_path: str = ""
     fig3: Fig3Params | None = None
     fig5: Fig5Params | None = None
@@ -212,16 +221,16 @@ class ExperimentSpec:
         _require(self.kind in EXPERIMENT_KINDS, "kind", f"must be one of {EXPERIMENT_KINDS}")
         _require(0 <= self.seed < 2**64, "seed", "must be an unsigned 64-bit integer")
         _require(self.out_format in ("csv", "json"), "format", "must be 'csv' or 'json'")
-        section = _KIND_SECTIONS[self.kind][0]
+        section = KIND_SECTIONS[self.kind][0]
         if getattr(self, section) is None:
-            object.__setattr__(self, section, _KIND_SECTIONS[self.kind][1]())
-        for other, _ in _KIND_SECTIONS.values():
+            object.__setattr__(self, section, KIND_SECTIONS[self.kind][1]())
+        for other, _ in KIND_SECTIONS.values():
             if other != section and getattr(self, other) is not None:
                 raise SpecError(f"{other}: section does not belong to kind {self.kind}")
 
     @property
     def params(self):
-        return getattr(self, _KIND_SECTIONS[self.kind][0])
+        return getattr(self, KIND_SECTIONS[self.kind][0])
 
 
 def _validate_grid(name: str, start: float, stop: float, step: float):
@@ -242,63 +251,74 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
     return np.linspace(start, stop, n)
 
 
-def _parse_field(field: dataclasses.Field, raw: str, section: str):
-    name = field.name
-    try:
-        if field.type in ("float", float):
-            return float(raw)
-        if field.type in ("int", int):
-            return int(raw)
-        if field.type in ("str", str):
-            return raw.strip()
-        # tuple[float, ...]: comma-separated floats
-        return tuple(float(t) for t in raw.split(",") if t.strip())
-    except ValueError as e:
-        raise SpecError(f"{section}.{name}: cannot parse {raw!r}") from e
+# [experiment] key -> ExperimentSpec field
+_EXPERIMENT_KEYS = {"kind": "kind", "seed": "seed", "format": "out_format", "output": "out_path"}
 
 
-def _parse_section(cp: configparser.ConfigParser, section: str, cls):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    if cp.has_section(section):
-        for key, raw in cp.items(section):
-            if key not in fields:
-                raise SpecError(f"{section}.{key}: unknown key")
-            kwargs[key] = _parse_field(fields[key], raw, section)
-    return cls(**kwargs)
+@functools.cache
+def _field_types(cls) -> dict:
+    """Resolved field types of a dataclass, computed once per class."""
+    return typing.get_type_hints(cls)
 
 
-def parse_spec(text: str) -> ExperimentSpec:
-    """Parse and validate INI-style experiment config text."""
+def _parse_value(tp, raw: str):
+    if tp is str:
+        return raw.strip()
+    if typing.get_origin(tp) is tuple:
+        # tuple[float, ...]: comma-separated values
+        return tuple(typing.get_args(tp)[0](t) for t in raw.split(",") if t.strip())
+    return tp(raw)
+
+
+def _build(cls, raw: dict[str, str], section: str, **given):
+    """cls(**given, **parsed raw values), naming the offending key on any error."""
+    types = _field_types(cls)
+    for key, value in raw.items():
+        if key not in types:
+            raise SpecError(f"{section}.{key}: unknown key")
+        try:
+            given[key] = _parse_value(types[key], value)
+        except ValueError as e:
+            raise SpecError(f"{section}.{key}: cannot parse {value!r}") from e
+    return cls(**given)
+
+
+def read_sections(text: str) -> dict[str, dict[str, str]]:
+    """INI-style config text as {section: {key: raw value}}."""
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise SpecError(f"config syntax error: {e}") from e
-    if not cp.has_section("experiment"):
+    return {section: dict(cp.items(section)) for section in cp.sections()}
+
+
+def build_spec(sections: dict[str, dict[str, str]]) -> ExperimentSpec:
+    """Validate {section: {key: raw value}} into a spec; omitted keys take the
+    dataclass defaults."""
+    if "experiment" not in sections:
         raise SpecError("experiment: missing [experiment] section")
-    exp = dict(cp.items("experiment"))
-    kind = exp.pop("kind", None)
+    exp = sections["experiment"]
+    kind = exp.get("kind")
     if kind is None:
         raise SpecError("experiment.kind: required")
     if kind not in EXPERIMENT_KINDS:
         raise SpecError(f"experiment.kind: must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-    try:
-        seed = int(exp.pop("seed", "1234"))
-    except ValueError as e:
-        raise SpecError("experiment.seed: must be an integer") from e
-    out_format = exp.pop("format", "csv")
-    out_path = exp.pop("output", "")
-    if exp:
-        raise SpecError(f"experiment.{sorted(exp)[0]}: unknown key")
-
-    section, cls = _KIND_SECTIONS[kind]
-    for other in cp.sections():
+    unknown = sorted(set(exp) - set(_EXPERIMENT_KEYS))
+    if unknown:
+        raise SpecError(f"experiment.{unknown[0]}: unknown key")
+    section, cls = KIND_SECTIONS[kind]
+    for other in sections:
         if other not in ("experiment", section):
             raise SpecError(f"{other}: unknown section for kind {kind}")
-    params = _parse_section(cp, section, cls)
-    return ExperimentSpec(kind=kind, seed=seed, out_format=out_format, out_path=out_path,
-                          **{section: params})
+    params = _build(cls, sections.get(section, {}), section)
+    return _build(ExperimentSpec, {_EXPERIMENT_KEYS[k]: v for k, v in exp.items()},
+                  "experiment", **{section: params})
+
+
+def parse_spec(text: str) -> ExperimentSpec:
+    """Parse and validate INI-style experiment config text."""
+    return build_spec(read_sections(text))
 
 
 def _format_value(v) -> str:
@@ -315,7 +335,7 @@ def serialize_spec(spec: ExperimentSpec) -> str:
              f"format = {spec.out_format}"]
     if spec.out_path:
         lines.append(f"output = {spec.out_path}")
-    section, _ = _KIND_SECTIONS[spec.kind]
+    section, _ = KIND_SECTIONS[spec.kind]
     lines += ["", f"[{section}]"]
     for f in dataclasses.fields(spec.params):
         lines.append(f"{f.name} = {_format_value(getattr(spec.params, f.name))}")
@@ -404,8 +424,9 @@ def attack_fixture(seed: int, p: AttackParams):
     return enc, src, reference_img, cfg
 
 
-def run_attack_demo(spec: ExperimentSpec) -> ResultTable:
-    """Seeded attack trace plus the blur-defense summary of the final image.
+def attack_demo(spec: ExperimentSpec) -> tuple[ResultTable, ImageTensor]:
+    """Seeded attack trace plus the blur-defense summary of the final image,
+    and that image.
 
     Rows 0..max_iters hold the best-so-far similarity; the defense summary
     pair (before/after blurring) is repeated on every row, and a final row
@@ -418,8 +439,14 @@ def run_attack_demo(spec: ExperimentSpec) -> ResultTable:
                                          p.blur_sigma, p.blur_radius)
     rows = [[t, s, sim_before, sim_after] for t, s in enumerate(trace.best_similarity)]
     rows.append([p.max_iters + 1, trace.final_similarity, sim_before, sim_after])
-    return _make_table(spec, ["iteration", "best_similarity", "summary_sim_before",
-                              "summary_sim_after"], rows)
+    table = _make_table(spec, ["iteration", "best_similarity", "summary_sim_before",
+                               "summary_sim_after"], rows)
+    return table, trace.adversarial
+
+
+def run_attack_demo(spec: ExperimentSpec) -> ResultTable:
+    """The table of attack_demo."""
+    return attack_demo(spec)[0]
 
 
 def _secrecy_scenario_from_metric(p: SingleMetricParams) -> SecrecyScenario:

@@ -33,7 +33,6 @@ _QUAD_EPSABS = 1e-9
 _QUAD_FAIL = 1e-6
 _TAIL_PROB = 1e-10
 
-DEFAULT_MC_SAMPLES = 10**6
 SAVING_BRACKET_DB = (-20.0, 60.0)
 SAVING_TOL_DB = 0.01
 
@@ -146,13 +145,8 @@ def pnz_mc(s: SecrecyScenario, n: int, seed: RngSeed) -> EstimateWithError:
     return mc_estimate(n, seed, _paired_draw(s, np.greater))
 
 
-def pnz(s: SecrecyScenario, method: str = "numeric", *,
-        n: int = DEFAULT_MC_SAMPLES, seed: RngSeed = RngSeed()) -> float:
+def pnz(s: SecrecyScenario) -> float:
     """P(gamma_B > gamma_E); for SISO exponential links this is sb/(sb+se)."""
-    if method == "mc":
-        return pnz_mc(s, n, seed).value
-    if method != "numeric":
-        raise ValueError(f"method must be 'numeric' or 'mc', got {method!r}")
     x_max = snr_quantile(s.snr_e, 1.0 - _TAIL_PROB)
 
     def integrand(x):
@@ -167,13 +161,8 @@ def asc_mc(s: SecrecyScenario, n: int, seed: RngSeed) -> EstimateWithError:
         s, lambda gb, ge: np.maximum(0.0, np.log2(1.0 + gb) - np.log2(1.0 + ge))))
 
 
-def asc(s: SecrecyScenario, method: str = "numeric", *,
-        n: int = DEFAULT_MC_SAMPLES, seed: RngSeed = RngSeed()) -> float:
+def asc(s: SecrecyScenario) -> float:
     """Average secrecy capacity E[max(0, C_B - C_E)] in bit/s/Hz."""
-    if method == "mc":
-        return asc_mc(s, n, seed).value
-    if method != "numeric":
-        raise ValueError(f"method must be 'numeric' or 'mc', got {method!r}")
     x_max = max(snr_quantile(s.snr_b, 1.0 - _TAIL_PROB), snr_quantile(s.snr_e, 1.0 - _TAIL_PROB))
 
     def integrand(x):

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from siotsec import AntennaConfig, SecrecyScenario, SnrModel, make_snr_model, read_pnm, sop_numeric
+from siotsec import (AntennaConfig, SecrecyScenario, SnrModel, attack, make_snr_model, read_pnm,
+                     sop_numeric)
 from siotsec.cli import main
 
 
@@ -152,3 +154,53 @@ def test_oversized_mc_samples_is_one_error_line(capsys, command):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("siotsec: error:") and "mc_samples" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--iters", "abc"],
+    ["sop", "--method", "foo"],
+    ["sop", "--format", "xml"],
+    ["sop", "--seed", "abc"],
+    ["sop", "--wibble", "3"],
+    [],
+    ["nosuchcommand"],
+    ["dfp", "--rate-hz", "fast"],
+    # flags that never changed a result are gone
+    ["ssop", "--method", "mc"],
+    ["ssop", "--mc-samples", "5000"],
+    ["dep", "--mc-samples", "5000"],
+    ["attack", "--mc-samples", "5000"],
+    ["sweep", "--spec", str(Path(__file__).parent / "golden" / "fig5.cfg"),
+     "--mc-samples", "5000"],
+])
+def test_usage_errors_are_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("siotsec: error:")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sop", "--help"])
+    assert exc.value.code == 0
+    assert "--snr-e-db" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--ratio", "5", "compression_ratio"),
+    ("--covert-rate", "0", "covert_rate_bps_hz"),
+])
+def test_dfp_look_flags_are_checked_by_the_covert_model(capsys, flag, value, field):
+    code, out, err = run_cli(capsys, "dfp", flag, value)
+    assert code == 1 and out == ""
+    assert field in err and len(err.splitlines()) == 1
+
+
+def test_save_image_runs_the_attack_once(capsys, tmp_path, monkeypatch):
+    steps = []
+    grad = attack._grad_flat
+    monkeypatch.setattr(attack, "_grad_flat", lambda *a: steps.append(1) or grad(*a))
+    code, _, _ = run_cli(capsys, "attack", "--iters", "20", "--save-image",
+                         str(tmp_path / "adv.pgm"))
+    assert code == 0 and len(steps) == 20

@@ -42,6 +42,14 @@ def test_num_detections_ten_second_transfer():
     assert num_detections(scenario(detection_rate_hz=0.0)) == 0.0
 
 
+def test_num_detections_multiplies_left_to_right():
+    # f * rho * D / (R * B) in this order; the CLI look counts depend on it bit for bit
+    f, rho, d, r, b = 3.3, 0.37, 7.7e8, 13.0, 2.2e6
+    s = scenario(detection_rate_hz=f, compression_ratio=rho, source_bits=d,
+                 covert_rate_bps_hz=r, bandwidth_hz=b)
+    assert num_detections(s) == f * rho * d / (r * b)
+
+
 def test_dfp_power_law():
     assert dfp(0.99, 50.0) == pytest.approx(0.99**50, abs=1e-15)
     assert 1.0 - dfp(0.99, 50.0) == pytest.approx(0.395, abs=5e-4)

@@ -69,6 +69,23 @@ def test_parse_rejects_bad_specs():
         spec_of("fig3_sweep", "[fig3]\nsnr_db_step = 0.7\n")
 
 
+@pytest.mark.parametrize("metric", ["ssop", "dep"])
+def test_monte_carlo_method_rejected_where_there_is_none(metric):
+    with pytest.raises(SpecError, match="method"):
+        spec_of("single_metric", f"[metric]\nmetric = {metric}\nmethod = mc\n")
+
+
+def test_fields_parse_by_resolved_type():
+    spec = spec_of("fig3_sweep", "[fig3]\ntx_antennas = 2\nsdep_list = 0.1,0.2\n"
+                   "snr_mode =  pathloss \n")
+    assert spec.fig3.tx_antennas == 2 and isinstance(spec.fig3.tx_antennas, int)
+    assert spec.fig3.sdep_list == (0.1, 0.2) and spec.fig3.snr_mode == "pathloss"
+    with pytest.raises(SpecError, match="experiment.seed: cannot parse"):
+        parse_spec("[experiment]\nkind = fig5_sweep\nseed = abc\n")
+    with pytest.raises(SpecError, match="fig3.tx_antennas: cannot parse"):
+        spec_of("fig3_sweep", "[fig3]\ntx_antennas = 2.5\n")
+
+
 @pytest.mark.parametrize("kind,body,field", [
     ("fig3_sweep", "[fig3]\nsnr_db_step = 1e-9\n", "snr_db_step"),
     ("fig3_sweep", "[fig3]\nsnr_db_step = 5e-324\n", "snr_db_step"),
