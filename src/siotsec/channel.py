@@ -14,8 +14,9 @@ from scipy import special
 
 SNR_MODES = ("direct", "pathloss")
 
-# Monte Carlo runs draw MC_BLOCK samples at a time, so memory is O(MC_BLOCK)
-# whatever the sample count; MC_MAX_SAMPLES is about 10 s of sampling.
+# Monte Carlo runs draw MC_BLOCK samples per block, at most
+# estimate.MC_IN_FLIGHT blocks at once, so memory does not grow with the
+# sample count; MC_MAX_SAMPLES is about 10 s of sampling on one CPU.
 MC_BLOCK = 65_536
 MC_MIN_SAMPLES = 1000
 MC_MAX_SAMPLES = 10**8

@@ -56,6 +56,13 @@ from .secrecy import (
 EXPERIMENT_KINDS = ("fig3_sweep", "fig5_sweep", "attack_demo", "single_metric")
 SINGLE_METRICS = ("sop", "pnz", "asc", "ssop", "dep", "dfp")
 MAX_GRID_POINTS = 10_001
+# attack fixture limits, checked before any array is built.  The encoder has
+# hidden_dim * (height * width * channels + embed_dim) float64 weights: 32 MB
+# at the limit, where one attack iteration takes about 5 ms
+MAX_ATTACK_ITERS = 100_000
+MAX_ENCODER_WEIGHTS = 4_000_000
+MAX_EMBED_DIM = 1024
+MAX_BLUR_RADIUS = 256
 
 
 class SpecError(ValueError):
@@ -148,11 +155,19 @@ class AttackParams:
     def __post_init__(self):
         # AttackConfig re-validates mode/budget; check the fixture dims here
         AttackConfig(self.mode, self.epsilon, self.step_size, self.max_iters)
+        _require(self.max_iters <= MAX_ATTACK_ITERS, "max_iters",
+                 f"must be <= {MAX_ATTACK_ITERS}")
         for name in ("height", "width", "channels", "hidden_dim"):
             _require(getattr(self, name) >= 1, name, "must be >= 1")
-        _require(self.embed_dim >= 2, "embed_dim", "must be >= 2")
+        _require(2 <= self.embed_dim <= MAX_EMBED_DIM, "embed_dim",
+                 f"must be in [2, {MAX_EMBED_DIM}]")
+        weights = self.hidden_dim * (self.height * self.width * self.channels + self.embed_dim)
+        _require(weights <= MAX_ENCODER_WEIGHTS, "hidden_dim",
+                 f"gives {weights} encoder weights, hidden_dim * (height * width * channels"
+                 f" + embed_dim) must be <= {MAX_ENCODER_WEIGHTS}")
         _require(self.blur_sigma > 0, "blur_sigma", "must be > 0")
-        _require(self.blur_radius >= 1, "blur_radius", "must be >= 1")
+        _require(1 <= self.blur_radius <= MAX_BLUR_RADIUS, "blur_radius",
+                 f"must be in [1, {MAX_BLUR_RADIUS}]")
 
 
 @dataclass(frozen=True)
@@ -181,8 +196,9 @@ class SingleMetricParams:
         _require(self.method in ("numeric", "mc"), "method", "must be 'numeric' or 'mc'")
         _require(self.method == "numeric" or self.metric not in ("ssop", "dep"), "method",
                  f"{self.metric} has no Monte Carlo route; must be 'numeric'")
-        _require(MC_MIN_SAMPLES <= self.mc_samples <= MC_MAX_SAMPLES, "mc_samples",
-                 f"must be in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}]")
+        # the numeric routes never read mc_samples
+        _require(self.method == "numeric" or MC_MIN_SAMPLES <= self.mc_samples <= MC_MAX_SAMPLES,
+                 "mc_samples", f"must be in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}]")
         _require(math.isfinite(self.snr_b_db), "snr_b_db", "must be finite")
         _require(math.isfinite(self.eve_snr_db), "eve_snr_db", "must be finite")
         for name in ("tx_antennas", "rx_antennas", "eve_antennas"):
@@ -191,6 +207,10 @@ class SingleMetricParams:
         _require(0.0 <= self.sdep <= 1.0, "sdep", "must be in [0, 1]")
         _require(0.0 < self.dep <= 1.0, "dep", "must be in (0, 1]")
         _require(self.detections >= 0, "detections", "must be >= 0")
+        # Monte Carlo samples a whole number of looks, as a C long
+        _require(self.method == "numeric" or self.metric != "dfp"
+                 or (float(self.detections).is_integer() and self.detections < 2**63),
+                 "detections", "must be a whole number below 2**63 for method = mc")
         _require(self.noise_power > 0, "noise_power", "must be > 0")
         _require(self.signal_power >= 0, "signal_power", "must be >= 0")
         _require(self.warden_samples >= 1, "warden_samples", "must be >= 1")
@@ -484,9 +504,9 @@ def run_single_metric(spec: ExperimentSpec) -> ResultTable:
                            [[tau, point.p_fa, point.p_md, point.dep]])
     # dfp
     if p.method == "mc":
-        est = dfp_mc(p.dep, int(round(p.detections)), p.mc_samples, seed)
+        est = dfp_mc(p.dep, int(p.detections), p.mc_samples, seed)
         return _make_table(spec, ["detections", "dfp", "std_error", "n_samples"],
-                           [[int(round(p.detections)), est.value, est.std_error, est.n_samples]])
+                           [[p.detections, est.value, est.std_error, est.n_samples]])
     return _make_table(spec, ["detections", "dfp"], [[p.detections, dfp(p.dep, p.detections)]])
 
 

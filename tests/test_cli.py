@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 from siotsec import (AntennaConfig, SecrecyScenario, SnrModel, attack, make_snr_model, read_pnm,
                      sop_numeric)
 from siotsec.cli import main
+from siotsec.harness import (MAX_ATTACK_ITERS, MAX_BLUR_RADIUS, MAX_EMBED_DIM,
+                             MAX_ENCODER_WEIGHTS)
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +162,47 @@ def test_oversized_mc_samples_is_one_error_line(capsys, command):
     assert lines[0].startswith("siotsec: error:") and "mc_samples" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["sop", "pnz", "asc", "dfp"])
+def test_mc_samples_is_checked_only_for_method_mc(capsys, command):
+    code, out, err = run_cli(capsys, command, "--mc-samples", "5")
+    assert code == 0 and not err
+    assert parse_csv(out) == parse_csv(run_cli(capsys, command)[1])
+    code, out, err = run_cli(capsys, command, "--method", "mc", "--mc-samples", "5")
+    assert code == 1 and out == ""
+    assert err == "siotsec: error: mc_samples: must be in [1000, 100000000]\n"
+
+
+@pytest.mark.parametrize("detections", ["2.5", "inf", "1e30"])
+def test_dfp_mc_needs_a_whole_look_count(capsys, detections):
+    code, out, err = run_cli(capsys, "dfp", "--method", "mc", "--detections", detections,
+                             "--mc-samples", "1000")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("siotsec: error: detections: must be a whole number")
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--iters", str(MAX_ATTACK_ITERS + 1), "max_iters"),
+    # 16 * 16 * 1 pixels plus 8 embedding outputs per hidden unit
+    ("--hidden-dim", str(MAX_ENCODER_WEIGHTS // 264 + 1), "hidden_dim"),
+    ("--height", "8000", "hidden_dim"),
+    ("--embed-dim", str(MAX_EMBED_DIM + 1), "embed_dim"),
+    ("--blur-radius", str(MAX_BLUR_RADIUS + 1), "blur_radius"),
+])
+def test_oversized_attack_is_one_error_line_before_any_array(capsys, flag, value, field):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "attack", flag, value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"siotsec: error: {field}:")
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("argv", [
     ["attack", "--iters", "abc"],
     ["sop", "--method", "foo"],
@@ -204,3 +251,14 @@ def test_save_image_runs_the_attack_once(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, "attack", "--iters", "20", "--save-image",
                          str(tmp_path / "adv.pgm"))
     assert code == 0 and len(steps) == 20
+
+
+def test_cli_import_leaves_integrate_optimize_and_stats_unloaded():
+    # scipy.integrate alone costs about 0.35 s and 25 MiB; only quadrature loads it
+    code = ("import sys, siotsec.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.stats') "
+            "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

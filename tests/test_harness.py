@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from siotsec import (
+    AttackParams,
     ExperimentSpec,
     Fig3Params,
     Fig5Params,
@@ -24,7 +25,15 @@ from siotsec import (
     serialize_spec,
     snr_saving_db,
 )
-from siotsec.harness import _fig3_scenario, render_csv, render_json
+from siotsec.harness import (
+    MAX_ATTACK_ITERS,
+    MAX_BLUR_RADIUS,
+    MAX_EMBED_DIM,
+    MAX_ENCODER_WEIGHTS,
+    _fig3_scenario,
+    render_csv,
+    render_json,
+)
 
 
 def spec_of(kind: str, body: str = "", seed: int = 1234) -> ExperimentSpec:
@@ -100,6 +109,18 @@ def test_grid_size_limit_is_inclusive():
     Fig3Params(snr_db_stop=10000.0, snr_db_step=1.0)
     with pytest.raises(SpecError, match="snr_db_step"):
         Fig3Params(snr_db_stop=10001.0, snr_db_step=1.0)
+
+
+def test_attack_size_limits_are_inclusive():
+    AttackParams()
+    AttackParams(height=32, width=32, channels=3, hidden_dim=64, embed_dim=16)
+    AttackParams(max_iters=MAX_ATTACK_ITERS, embed_dim=MAX_EMBED_DIM,
+                 blur_radius=MAX_BLUR_RADIUS)
+    # 1000 * (998 * 4 * 1 + 8) weights
+    assert MAX_ENCODER_WEIGHTS == 4_000_000
+    AttackParams(height=998, width=4, hidden_dim=1000)
+    with pytest.raises(SpecError, match="hidden_dim: gives 4004000 encoder weights"):
+        AttackParams(height=999, width=4, hidden_dim=1000)
 
 
 def test_parse_accepts_annotated_configs():
