@@ -117,14 +117,19 @@ def avg_received_snr(ref_snr_db: float, geom: LinkGeometry, mode: str = "direct"
 
     direct: the quoted dB value is already the link's mean branch SNR.
     pathloss: the quoted value is at unit distance; d^(-alpha) is applied.
+    Raises ValueError unless the linear SNR is finite and > 0.
     """
-    if not math.isfinite(ref_snr_db):
-        raise ValueError(f"ref_snr_db must be finite, got {ref_snr_db}")
     if mode not in SNR_MODES:
         raise ValueError(f"mode must be one of {SNR_MODES}, got {mode!r}")
-    snr = 10.0 ** (ref_snr_db / 10.0)
-    if mode == "pathloss":
-        snr *= geom.distance_m ** (-geom.path_loss_exponent)
+    try:
+        # Python floats raise OverflowError where numpy would return inf
+        snr = 10.0 ** (float(ref_snr_db) / 10.0)
+        if mode == "pathloss":
+            snr *= geom.distance_m ** (-geom.path_loss_exponent)
+    except OverflowError:
+        snr = math.inf
+    if not 0.0 < snr < math.inf:
+        raise ValueError(f"ref_snr_db must give a finite linear SNR > 0, got {ref_snr_db}")
     return snr
 
 

@@ -61,6 +61,13 @@ class CovertScenario:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         if not (0.0 < self.compression_ratio <= 1.0):
             raise ValueError(f"compression_ratio must be in (0, 1], got {self.compression_ratio}")
+        try:
+            looks = num_detections(self)
+        except ZeroDivisionError:  # covert_rate_bps_hz * bandwidth_hz underflows to 0
+            looks = math.inf
+        if not math.isfinite(looks):
+            raise ValueError(f"source_bits must give a finite look count f*rho*D/(R*B), "
+                             f"got {self.source_bits}")
 
 
 class DetectionErrors(NamedTuple):

@@ -14,6 +14,7 @@ gives byte-identical output.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -38,8 +39,9 @@ from .channel import (
     avg_received_snr,
     make_snr_model,
 )
-from .covert import WardenModel, dep_energy_detector, dep_optimal, dfp, dfp_mc
-from .images import ImageTensor, random_image
+from .covert import (CovertScenario, WardenModel, dep_energy_detector, dep_optimal, dfp, dfp_mc,
+                     num_detections)
+from .images import ImageTensor, gaussian_kernel, random_image
 from .secrecy import (
     QuadratureError,
     SecrecyScenario,
@@ -53,14 +55,15 @@ from .secrecy import (
     sop_numeric,
 )
 
-EXPERIMENT_KINDS = ("fig3_sweep", "fig5_sweep", "attack_demo", "single_metric")
 SINGLE_METRICS = ("sop", "pnz", "asc", "ssop", "dep", "dfp")
 MAX_GRID_POINTS = 10_001
 # attack fixture limits, checked before any array is built.  The encoder has
 # hidden_dim * (height * width * channels + embed_dim) float64 weights: 32 MB
-# at the limit, where one attack iteration takes about 5 ms
+# at the limit, where one attack iteration takes about 5 ms; the run time grows
+# with max_iters * weights, which is capped as well
 MAX_ATTACK_ITERS = 100_000
 MAX_ENCODER_WEIGHTS = 4_000_000
+MAX_ATTACK_WORK = 10**10
 MAX_EMBED_DIM = 1024
 MAX_BLUR_RADIUS = 256
 
@@ -72,6 +75,34 @@ class SpecError(ValueError):
 def _require(cond: bool, name: str, message: str):
     if not cond:
         raise SpecError(f"{name}: {message}")
+
+
+@contextlib.contextmanager
+def _field_errors(**renamed):
+    """Re-raise a domain ValueError, whose message starts with its argument's
+    name, as a SpecError naming the spec field; `renamed` maps names that differ."""
+    try:
+        yield
+    except ValueError as e:
+        arg, _, rest = str(e).partition(" ")
+        raise SpecError(f"{renamed.get(arg, arg)}: {rest}") from e
+
+
+def _secrecy_scenario(p, snr_b_db: float, snr_b_field: str = "snr_b_db", snr_mode="direct",
+                      distances_m=(1.0, 1.0), path_loss_exponent=0.0) -> SecrecyScenario:
+    """The links and rate of a fig3 or single_metric spec `p` at legitimate-link SNR
+    snr_b_db (named snr_b_field in errors); the geometry counts only in pathloss mode."""
+    links = []
+    for snr_db, snr_field, rx_field, distance_m, distance_field in (
+            (snr_b_db, snr_b_field, "rx_antennas", distances_m[0], "distance_b_m"),
+            (p.eve_snr_db, "eve_snr_db", "eve_antennas", distances_m[1], "distance_e_m")):
+        with _field_errors(ref_snr_db=snr_field, distance_m=distance_field,
+                           rx_antennas=rx_field):
+            geom = LinkGeometry(distance_m, path_loss_exponent)
+            links.append(make_snr_model(avg_received_snr(snr_db, geom, snr_mode),
+                                        AntennaConfig(p.tx_antennas, getattr(p, rx_field))))
+    with _field_errors():
+        return SecrecyScenario(*links, p.rate_threshold)
 
 
 def _doc(default, help_text: str):
@@ -100,16 +131,18 @@ class Fig3Params:
     def __post_init__(self):
         _validate_grid("snr_db", self.snr_db_start, self.snr_db_stop, self.snr_db_step)
         _require(len(self.sdep_list) > 0, "sdep_list", "must be nonempty")
-        for v in self.sdep_list:
-            _require(0.0 <= v <= 1.0, "sdep_list", f"entries must be in [0, 1], got {v}")
-        _require(math.isfinite(self.eve_snr_db), "eve_snr_db", "must be finite")
-        _require(self.rate_threshold >= 0, "rate_threshold", "must be >= 0")
-        for name in ("tx_antennas", "rx_antennas", "eve_antennas"):
-            _require(getattr(self, name) >= 1, name, "must be >= 1")
-        _require(self.distance_b_m > 0, "distance_b_m", "must be > 0")
-        _require(self.distance_e_m > 0, "distance_e_m", "must be > 0")
-        _require(self.path_loss_exponent >= 0, "path_loss_exponent", "must be >= 0")
         _require(self.snr_mode in SNR_MODES, "snr_mode", f"must be one of {SNR_MODES}")
+        with _field_errors(sdep="sdep_list"):
+            for v in self.sdep_list:
+                SemanticProfile(v)
+        # the link SNR grows with dB, so the grid's ends cover every point
+        self.scenario(self.snr_db_start, "snr_db_start")
+        self.scenario(self.snr_db_stop, "snr_db_stop")
+
+    def scenario(self, snr_b_db: float, snr_b_field: str = "snr_b_db") -> SecrecyScenario:
+        """The secrecy scenario at legitimate-link reference SNR snr_b_db (dB)."""
+        return _secrecy_scenario(self, snr_b_db, snr_b_field, self.snr_mode,
+                                 (self.distance_b_m, self.distance_e_m), self.path_loss_exponent)
 
 
 @dataclass(frozen=True)
@@ -127,13 +160,16 @@ class Fig5Params:
 
     def __post_init__(self):
         _validate_grid("ratio", self.ratio_start, self.ratio_stop, self.ratio_step)
-        _require(0.0 < self.ratio_start, "ratio_start", "must be > 0")
-        _require(self.ratio_stop <= 1.0, "ratio_stop", "must be <= 1")
-        _require(0.0 < self.dep <= 1.0, "dep", "must be in (0, 1]")
-        _require(self.detection_rate_hz >= 0, "detection_rate_hz", "must be >= 0")
-        _require(self.covert_rate_bps_hz > 0, "covert_rate_bps_hz", "must be > 0")
-        _require(self.bandwidth_hz > 0, "bandwidth_hz", "must be > 0")
-        _require(self.source_bits > 0, "source_bits", "must be > 0")
+        for end in ("ratio_start", "ratio_stop"):
+            with _field_errors(compression_ratio=end):
+                self.scenario(getattr(self, end))
+        with _field_errors():
+            self.scenario()  # the runner's uncompressed baseline has the most looks
+
+    def scenario(self, ratio: float = 1.0) -> CovertScenario:
+        """The covert transfer at semantic compression ratio `ratio`."""
+        return CovertScenario(self.dep, self.detection_rate_hz, self.covert_rate_bps_hz,
+                              self.bandwidth_hz, self.source_bits, ratio)
 
 
 @dataclass(frozen=True)
@@ -153,8 +189,8 @@ class AttackParams:
     blur_radius: int = _doc(3, "defense blur radius, pixels")
 
     def __post_init__(self):
-        # AttackConfig re-validates mode/budget; check the fixture dims here
-        AttackConfig(self.mode, self.epsilon, self.step_size, self.max_iters)
+        with _field_errors():
+            AttackConfig(self.mode, self.epsilon, self.step_size, self.max_iters)
         _require(self.max_iters <= MAX_ATTACK_ITERS, "max_iters",
                  f"must be <= {MAX_ATTACK_ITERS}")
         for name in ("height", "width", "channels", "hidden_dim"):
@@ -165,9 +201,13 @@ class AttackParams:
         _require(weights <= MAX_ENCODER_WEIGHTS, "hidden_dim",
                  f"gives {weights} encoder weights, hidden_dim * (height * width * channels"
                  f" + embed_dim) must be <= {MAX_ENCODER_WEIGHTS}")
-        _require(self.blur_sigma > 0, "blur_sigma", "must be > 0")
-        _require(1 <= self.blur_radius <= MAX_BLUR_RADIUS, "blur_radius",
-                 f"must be in [1, {MAX_BLUR_RADIUS}]")
+        _require(self.max_iters * weights <= MAX_ATTACK_WORK, "max_iters",
+                 f"gives {self.max_iters * weights} weight-iterations, max_iters * encoder"
+                 f" weights must be <= {MAX_ATTACK_WORK}")
+        _require(self.blur_radius <= MAX_BLUR_RADIUS, "blur_radius",
+                 f"must be <= {MAX_BLUR_RADIUS}")
+        with _field_errors(sigma="blur_sigma", radius="blur_radius"):
+            gaussian_kernel(self.blur_sigma, self.blur_radius)
 
 
 @dataclass(frozen=True)
@@ -199,29 +239,18 @@ class SingleMetricParams:
         # the numeric routes never read mc_samples
         _require(self.method == "numeric" or MC_MIN_SAMPLES <= self.mc_samples <= MC_MAX_SAMPLES,
                  "mc_samples", f"must be in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}]")
-        _require(math.isfinite(self.snr_b_db), "snr_b_db", "must be finite")
-        _require(math.isfinite(self.eve_snr_db), "eve_snr_db", "must be finite")
-        for name in ("tx_antennas", "rx_antennas", "eve_antennas"):
-            _require(getattr(self, name) >= 1, name, "must be >= 1")
-        _require(self.rate_threshold >= 0, "rate_threshold", "must be >= 0")
-        _require(0.0 <= self.sdep <= 1.0, "sdep", "must be in [0, 1]")
         _require(0.0 < self.dep <= 1.0, "dep", "must be in (0, 1]")
-        _require(self.detections >= 0, "detections", "must be >= 0")
         # Monte Carlo samples a whole number of looks, as a C long
         _require(self.method == "numeric" or self.metric != "dfp"
                  or (float(self.detections).is_integer() and self.detections < 2**63),
                  "detections", "must be a whole number below 2**63 for method = mc")
-        _require(self.noise_power > 0, "noise_power", "must be > 0")
-        _require(self.signal_power >= 0, "signal_power", "must be >= 0")
-        _require(self.warden_samples >= 1, "warden_samples", "must be >= 1")
-
-
-KIND_SECTIONS = {
-    "fig3_sweep": ("fig3", Fig3Params),
-    "fig5_sweep": ("fig5", Fig5Params),
-    "attack_demo": ("attack", AttackParams),
-    "single_metric": ("metric", SingleMetricParams),
-}
+        # every field is checked whichever metric reads it
+        _secrecy_scenario(self, self.snr_b_db)
+        with _field_errors(n_detections="detections", received_signal_power="signal_power",
+                           samples_per_detection="warden_samples"):
+            SemanticProfile(self.sdep)
+            dfp(self.dep, self.detections)
+            WardenModel(self.noise_power, self.signal_power, self.warden_samples)
 
 
 @dataclass(frozen=True)
@@ -238,13 +267,14 @@ class ExperimentSpec:
     metric: SingleMetricParams | None = None
 
     def __post_init__(self):
-        _require(self.kind in EXPERIMENT_KINDS, "kind", f"must be one of {EXPERIMENT_KINDS}")
-        _require(0 <= self.seed < 2**64, "seed", "must be an unsigned 64-bit integer")
+        _require(self.kind in KIND_SECTIONS, "kind", f"must be one of {tuple(KIND_SECTIONS)}")
+        with _field_errors():
+            RngSeed(self.seed)
         _require(self.out_format in ("csv", "json"), "format", "must be 'csv' or 'json'")
-        section = KIND_SECTIONS[self.kind][0]
+        section, cls, _ = KIND_SECTIONS[self.kind]
         if getattr(self, section) is None:
-            object.__setattr__(self, section, KIND_SECTIONS[self.kind][1]())
-        for other, _ in KIND_SECTIONS.values():
+            object.__setattr__(self, section, cls())
+        for other, _, _ in KIND_SECTIONS.values():
             if other != section and getattr(self, other) is not None:
                 raise SpecError(f"{other}: section does not belong to kind {self.kind}")
 
@@ -322,12 +352,12 @@ def build_spec(sections: dict[str, dict[str, str]]) -> ExperimentSpec:
     kind = exp.get("kind")
     if kind is None:
         raise SpecError("experiment.kind: required")
-    if kind not in EXPERIMENT_KINDS:
-        raise SpecError(f"experiment.kind: must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+    if kind not in KIND_SECTIONS:
+        raise SpecError(f"experiment.kind: must be one of {tuple(KIND_SECTIONS)}, got {kind!r}")
     unknown = sorted(set(exp) - set(_EXPERIMENT_KEYS))
     if unknown:
         raise SpecError(f"experiment.{unknown[0]}: unknown key")
-    section, cls = KIND_SECTIONS[kind]
+    section, cls, _ = KIND_SECTIONS[kind]
     for other in sections:
         if other not in ("experiment", section):
             raise SpecError(f"{other}: unknown section for kind {kind}")
@@ -355,8 +385,7 @@ def serialize_spec(spec: ExperimentSpec) -> str:
              f"format = {spec.out_format}"]
     if spec.out_path:
         lines.append(f"output = {spec.out_path}")
-    section, _ = KIND_SECTIONS[spec.kind]
-    lines += ["", f"[{section}]"]
+    lines += ["", f"[{KIND_SECTIONS[spec.kind][0]}]"]
     for f in dataclasses.fields(spec.params):
         lines.append(f"{f.name} = {_format_value(getattr(spec.params, f.name))}")
     return "\n".join(lines) + "\n"
@@ -394,16 +423,6 @@ def _make_table(spec: ExperimentSpec, columns, rows) -> ResultTable:
     return ResultTable(tuple(columns), tuple(tuple(float(v) for v in row) for row in rows), meta)
 
 
-def _fig3_scenario(p: Fig3Params, snr_b_db: float) -> SecrecyScenario:
-    geom_b = LinkGeometry(p.distance_b_m, p.path_loss_exponent)
-    geom_e = LinkGeometry(p.distance_e_m, p.path_loss_exponent)
-    snr_b = make_snr_model(avg_received_snr(snr_b_db, geom_b, p.snr_mode),
-                           AntennaConfig(p.tx_antennas, p.rx_antennas))
-    snr_e = make_snr_model(avg_received_snr(p.eve_snr_db, geom_e, p.snr_mode),
-                           AntennaConfig(p.tx_antennas, p.eve_antennas))
-    return SecrecyScenario(snr_b, snr_e, p.rate_threshold)
-
-
 def run_fig3_sweep(spec: ExperimentSpec) -> ResultTable:
     """SOP and semantic SOP versus legitimate-link SNR in dB."""
     p = spec.fig3
@@ -411,7 +430,7 @@ def run_fig3_sweep(spec: ExperimentSpec) -> ResultTable:
     rows = []
     for snr_db in _grid(p.snr_db_start, p.snr_db_stop, p.snr_db_step):
         try:
-            sop = sop_numeric(_fig3_scenario(p, snr_db))
+            sop = sop_numeric(p.scenario(snr_db))
         except QuadratureError as e:
             raise QuadratureError(f"SOP at snr_b_db={snr_db:g}", e.residual) from e
         rows.append([snr_db, sop] + [semantic_sop(sop, SemanticProfile(sdep))
@@ -422,7 +441,7 @@ def run_fig3_sweep(spec: ExperimentSpec) -> ResultTable:
 def run_fig5_sweep(spec: ExperimentSpec) -> ResultTable:
     """DFP versus semantic compression ratio, against the uncompressed baseline."""
     p = spec.fig5
-    looks_full = p.detection_rate_hz * p.source_bits / (p.covert_rate_bps_hz * p.bandwidth_hz)
+    looks_full = num_detections(p.scenario())
     dfp_conventional = dfp(p.dep, looks_full)
     rows = [[ratio, dfp(p.dep, looks_full * ratio), dfp_conventional]
             for ratio in _grid(p.ratio_start, p.ratio_stop, p.ratio_step)]
@@ -469,20 +488,12 @@ def run_attack_demo(spec: ExperimentSpec) -> ResultTable:
     return attack_demo(spec)[0]
 
 
-def _secrecy_scenario_from_metric(p: SingleMetricParams) -> SecrecyScenario:
-    snr_b = make_snr_model(10.0 ** (p.snr_b_db / 10.0),
-                           AntennaConfig(p.tx_antennas, p.rx_antennas))
-    snr_e = make_snr_model(10.0 ** (p.eve_snr_db / 10.0),
-                           AntennaConfig(p.tx_antennas, p.eve_antennas))
-    return SecrecyScenario(snr_b, snr_e, p.rate_threshold)
-
-
 def run_single_metric(spec: ExperimentSpec) -> ResultTable:
     """Evaluate one metric and return a one-row table."""
     p = spec.metric
     seed = RngSeed(spec.seed, 0)
     if p.metric in ("sop", "pnz", "asc", "ssop"):
-        s = _secrecy_scenario_from_metric(p)
+        s = _secrecy_scenario(p, p.snr_b_db)
         if p.metric == "ssop":
             sop = sop_numeric(s)
             return _make_table(spec, ["sop", "ssop"],
@@ -510,16 +521,17 @@ def run_single_metric(spec: ExperimentSpec) -> ResultTable:
     return _make_table(spec, ["detections", "dfp"], [[p.detections, dfp(p.dep, p.detections)]])
 
 
-_RUNNERS = {
-    "fig3_sweep": run_fig3_sweep,
-    "fig5_sweep": run_fig5_sweep,
-    "attack_demo": run_attack_demo,
-    "single_metric": run_single_metric,
+# kind -> (section, params class, runner)
+KIND_SECTIONS = {
+    "fig3_sweep": ("fig3", Fig3Params, run_fig3_sweep),
+    "fig5_sweep": ("fig5", Fig5Params, run_fig5_sweep),
+    "attack_demo": ("attack", AttackParams, run_attack_demo),
+    "single_metric": ("metric", SingleMetricParams, run_single_metric),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    return _RUNNERS[spec.kind](spec)
+    return KIND_SECTIONS[spec.kind][2](spec)
 
 
 def _sci(x: float) -> str:

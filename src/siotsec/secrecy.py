@@ -18,12 +18,14 @@ Rs = 0 case degenerates to P(gB < gE) = 1 - PNZ.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import RngSeed, SnrModel, snr_cdf, snr_pdf, snr_quantile
+from .channel import (LinkGeometry, RngSeed, SnrModel, avg_received_snr, snr_cdf, snr_pdf,
+                      snr_quantile)
 from .estimate import EstimateWithError, mc_estimate
 
 _LN2 = math.log(2.0)
@@ -190,19 +192,19 @@ def semantic_sop(sop: float, profile: SemanticProfile) -> float:
 
 
 def _sop_at_db(s: SecrecyScenario, snr_b_db: float) -> float:
-    model = SnrModel(10.0 ** (snr_b_db / 10.0), s.snr_b.gamma_shape)
+    model = SnrModel(avg_received_snr(snr_b_db, LinkGeometry(1.0, 0.0)), s.snr_b.gamma_shape)
     return sop_numeric(replace(s, snr_b=model))
 
 
-def _solve_sop_level(s: SecrecyScenario, level: float, lo: float, hi: float, tol: float) -> float:
-    """Mean-SNR (dB) at which the SOP curve crosses `level`; SOP decreases in SNR."""
-    if _sop_at_db(s, lo) < level or _sop_at_db(s, hi) > level:
+def _solve_sop_level(sop_at_db, level: float, lo: float, hi: float, tol: float) -> float:
+    """Mean-SNR (dB) at which the curve sop_at_db crosses `level`; SOP decreases in SNR."""
+    if sop_at_db(lo) < level or sop_at_db(hi) > level:
         raise BracketError(
             f"SOP level {level:.4g} not bracketed by legitimate mean SNR in [{lo}, {hi}] dB"
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _sop_at_db(s, mid) >= level:
+        if sop_at_db(mid) >= level:
             lo = mid
         else:
             hi = mid
@@ -221,11 +223,14 @@ def snr_saving_db(s: SecrecyScenario, profile: SemanticProfile, target: float,
     if not (0.0 < target < 1.0):
         raise ValueError(f"target must be in (0, 1), got {target}")
     lo, hi = bracket
-    x_plain = _solve_sop_level(s, target, lo, hi, tol_db)
+    # both bisections start from one bracket, so they share its ends and first
+    # midpoints; each SNR point is integrated once per call
+    sop_at_db = functools.cache(functools.partial(_sop_at_db, s))
+    x_plain = _solve_sop_level(sop_at_db, target, lo, hi, tol_db)
     if profile.sdep == 0.0:
         return 0.0
     if profile.sdep == 1.0:
         raise BracketError("semantic SOP is identically 0 when sdep = 1; no crossing")
     # SSOP = (1 - sdep) * SOP crosses `target` where SOP crosses target/(1-sdep)
-    x_semantic = _solve_sop_level(s, target / (1.0 - profile.sdep), lo, hi, tol_db)
+    x_semantic = _solve_sop_level(sop_at_db, target / (1.0 - profile.sdep), lo, hi, tol_db)
     return x_plain - x_semantic

@@ -32,7 +32,7 @@ from siotsec import (
     sop_mc,
     sop_numeric,
 )
-from siotsec.harness import Fig3Params, _fig3_scenario
+from siotsec.harness import Fig3Params
 from scipy import special
 
 
@@ -83,7 +83,7 @@ def test_criterion_3_semantic_sop_identity():
 
 def test_criterion_4_fig3_db_saving():
     with deadline(30.0):
-        scenario = _fig3_scenario(Fig3Params(), 10.0)
+        scenario = Fig3Params().scenario(10.0)
         target = 1e-2
         grid = [round(0.1 * i, 1) for i in range(10)]
         savings = {s: snr_saving_db(scenario, SemanticProfile(s), target) for s in grid}

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from siotsec import (AntennaConfig, SecrecyScenario, SnrModel, attack, make_snr_model, read_pnm,
-                     sop_numeric)
+from siotsec import (AntennaConfig, SecrecyScenario, SnrModel, attack, cli, harness,
+                     make_snr_model, read_pnm, sop_numeric)
 from siotsec.cli import main
 from siotsec.harness import (MAX_ATTACK_ITERS, MAX_BLUR_RADIUS, MAX_EMBED_DIM,
                              MAX_ENCODER_WEIGHTS)
@@ -237,11 +237,42 @@ def test_help_still_exits_zero(capsys):
 @pytest.mark.parametrize("flag,value,field", [
     ("--ratio", "5", "compression_ratio"),
     ("--covert-rate", "0", "covert_rate_bps_hz"),
+    # 1e300 looks per second over 1e9 bits: an infinite look count
+    ("--rate-hz", "1e300", "source_bits"),
 ])
 def test_dfp_look_flags_are_checked_by_the_covert_model(capsys, flag, value, field):
     code, out, err = run_cli(capsys, "dfp", flag, value)
     assert code == 1 and out == ""
     assert field in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,fig3,field", [
+    (["sop", "--snr-b-db", "4000"], None, "snr_b_db"),
+    (["sop", "--snr-e-db", "-4000"], None, "eve_snr_db"),
+    (None, "snr_db_stop = 4000", "snr_db_stop"),
+    (None, "distance_e_m = inf", "distance_e_m"),
+    (None, "rate_threshold = inf", "rate_threshold"),
+    (["sop", "--eve-antennas", "0"], None, "eve_antennas"),
+    (["dep", "--samples", "0"], None, "warden_samples"),
+    (["dfp", "--detections", "inf"], None, "detections"),
+    # at 3100 dB the linear SNR overflows: rejected before any quadrature
+    (None, "snr_db_stop = 3100\nsnr_mode = pathloss", "snr_db_stop"),
+])
+def test_bad_values_fail_at_parse_naming_the_field(capsys, tmp_path, monkeypatch, argv, fig3,
+                                                   field):
+    runs, sops = [], []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    monkeypatch.setattr(harness, "sop_numeric", sops.append)
+    if fig3 is not None:
+        spec = tmp_path / "fig3.cfg"
+        spec.write_text(f"[experiment]\nkind = fig3_sweep\n[fig3]\n{fig3}\n")
+        argv = ["sweep", "--spec", str(spec)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"siotsec: error: {field}: ")
+    assert runs == [] and sops == []
 
 
 def test_save_image_runs_the_attack_once(capsys, tmp_path, monkeypatch):

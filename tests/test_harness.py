@@ -1,9 +1,12 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siotsec import (
     AttackParams,
@@ -14,7 +17,10 @@ from siotsec import (
     SemanticProfile,
     SingleMetricParams,
     SpecError,
+    WardenModel,
+    dfp,
     emit_table,
+    num_detections,
     parse_spec,
     render_table,
     run_attack_demo,
@@ -29,8 +35,10 @@ from siotsec.harness import (
     MAX_ATTACK_ITERS,
     MAX_BLUR_RADIUS,
     MAX_EMBED_DIM,
+    MAX_ATTACK_WORK,
     MAX_ENCODER_WEIGHTS,
-    _fig3_scenario,
+    _grid,
+    _secrecy_scenario,
     render_csv,
     render_json,
 )
@@ -106,9 +114,9 @@ def test_oversized_grids_rejected(kind, body, field):
 
 
 def test_grid_size_limit_is_inclusive():
-    Fig3Params(snr_db_stop=10000.0, snr_db_step=1.0)
+    Fig3Params(snr_db_stop=100.0, snr_db_step=0.01)
     with pytest.raises(SpecError, match="snr_db_step"):
-        Fig3Params(snr_db_stop=10001.0, snr_db_step=1.0)
+        Fig3Params(snr_db_stop=100.01, snr_db_step=0.01)
 
 
 def test_attack_size_limits_are_inclusive():
@@ -121,6 +129,16 @@ def test_attack_size_limits_are_inclusive():
     AttackParams(height=998, width=4, hidden_dim=1000)
     with pytest.raises(SpecError, match="hidden_dim: gives 4004000 encoder weights"):
         AttackParams(height=999, width=4, hidden_dim=1000)
+
+
+def test_attack_work_is_capped():
+    # 4e6 weights take milliseconds per iteration: 100,000 iterations would run for minutes
+    assert MAX_ATTACK_WORK == 10**10
+    AttackParams(height=998, width=4, hidden_dim=1000, max_iters=2500)
+    with pytest.raises(SpecError, match="max_iters: gives 400000000000 weight-iterations"):
+        AttackParams(height=998, width=4, hidden_dim=1000, max_iters=100_000)
+    with pytest.raises(SpecError, match="max_iters"):
+        AttackParams(height=998, width=4, hidden_dim=1000, max_iters=2501)
 
 
 def test_parse_accepts_annotated_configs():
@@ -193,7 +211,7 @@ def test_fig3_table_saving_consistent_with_bisection():
     x = t.column("snr_b_db")
     table_saving = (_crossing_db(x, t.column("sop"), 1e-2)
                     - _crossing_db(x, t.column("ssop_0.7"), 1e-2))
-    scenario = _fig3_scenario(spec.fig3, 0.0)
+    scenario = spec.fig3.scenario(0.0)
     exact = snr_saving_db(scenario, SemanticProfile(0.7), 1e-2)
     assert abs(table_saving - exact) <= spec.fig3.snr_db_step
 
@@ -356,3 +374,95 @@ def test_spec_kind_and_section_constraints():
 def test_experiment_seed_validation():
     with pytest.raises(SpecError, match="seed"):
         ExperimentSpec(kind="fig5_sweep", seed=-1)
+
+
+def _edgy(valid):
+    """Mostly values from `valid`, now and then an infinity or a NaN."""
+    return st.sampled_from(range(8)).flatmap(
+        lambda i: st.sampled_from([math.inf, -math.inf, math.nan]) if i == 0 else valid)
+
+
+# valid ranges that run to the ends of the float range, where a dB value
+# overflows or underflows and a path loss d**-alpha can overflow
+_DB = _edgy(st.floats(-4000, 4000))
+_POSITIVE = _edgy(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+_NONNEGATIVE = _edgy(st.floats(min_value=0.0, allow_infinity=False))
+_PROBABILITY = _edgy(st.floats(0.0, 1.0))
+_FRACTION = _edgy(st.floats(0.0, 1.0, exclude_min=True))
+_COUNT = st.integers(1, 4)
+# construction only, no quadrature: all three run in about a second
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _grid_fields(a: float, b: float, intervals: int) -> dict:
+    lo, hi = min(a, b), max(a, b)
+    return {"start": lo, "stop": hi, "step": (hi - lo) / intervals if hi > lo else 1.0}
+
+
+def _grid_between(ends):
+    return st.builds(_grid_fields, ends, ends, st.integers(1, 20))
+
+
+@_PROPERTY
+@given(grid=_grid_between(_DB),
+       sdep_list=st.lists(_PROBABILITY, min_size=1, max_size=3).map(tuple), eve_snr_db=_DB,
+       rate_threshold=_NONNEGATIVE, tx=_COUNT, rx=_COUNT, eve=_COUNT,
+       distance_b_m=_POSITIVE, distance_e_m=_POSITIVE, path_loss_exponent=_NONNEGATIVE,
+       snr_mode=st.sampled_from(["direct", "pathloss"]))
+def test_accepted_fig3_spec_builds_at_every_grid_point(grid, sdep_list, eve_snr_db,
+                                                       rate_threshold, tx, rx, eve, distance_b_m,
+                                                       distance_e_m, path_loss_exponent, snr_mode):
+    try:
+        p = Fig3Params(snr_db_start=grid["start"], snr_db_stop=grid["stop"],
+                       snr_db_step=grid["step"], sdep_list=sdep_list, eve_snr_db=eve_snr_db,
+                       rate_threshold=rate_threshold, tx_antennas=tx, rx_antennas=rx,
+                       eve_antennas=eve, distance_b_m=distance_b_m, distance_e_m=distance_e_m,
+                       path_loss_exponent=path_loss_exponent, snr_mode=snr_mode)
+    except SpecError:
+        return
+    for snr_db in _grid(p.snr_db_start, p.snr_db_stop, p.snr_db_step):
+        p.scenario(snr_db)
+    for sdep in p.sdep_list:
+        SemanticProfile(sdep)
+
+
+@_PROPERTY
+@given(grid=_grid_between(_FRACTION), dep=_FRACTION, detection_rate_hz=_NONNEGATIVE,
+       covert_rate_bps_hz=_POSITIVE, bandwidth_hz=_POSITIVE, source_bits=_POSITIVE)
+def test_accepted_fig5_spec_builds_at_every_grid_point(grid, dep, detection_rate_hz,
+                                                       covert_rate_bps_hz, bandwidth_hz,
+                                                       source_bits):
+    try:
+        p = Fig5Params(ratio_start=grid["start"], ratio_stop=grid["stop"],
+                       ratio_step=grid["step"], dep=dep, detection_rate_hz=detection_rate_hz,
+                       covert_rate_bps_hz=covert_rate_bps_hz, bandwidth_hz=bandwidth_hz,
+                       source_bits=source_bits)
+    except SpecError:
+        return
+    looks_full = num_detections(p.scenario())
+    for ratio in _grid(p.ratio_start, p.ratio_stop, p.ratio_step):
+        p.scenario(ratio)
+        dfp(p.dep, looks_full * ratio)
+
+
+@_PROPERTY
+@given(metric=st.sampled_from(["sop", "pnz", "asc", "ssop", "dep", "dfp"]),
+       method=st.sampled_from(["numeric", "mc"]), snr_b_db=_DB, eve_snr_db=_DB, tx=_COUNT,
+       rx=_COUNT, eve=_COUNT, rate_threshold=_NONNEGATIVE, sdep=_PROBABILITY,
+       dep=_FRACTION, detections=st.integers(0, 40).map(float) | _NONNEGATIVE,
+       noise_power=_POSITIVE, signal_power=_NONNEGATIVE, warden_samples=_COUNT)
+def test_accepted_single_metric_spec_builds_its_domain_objects(
+        metric, method, snr_b_db, eve_snr_db, tx, rx, eve, rate_threshold, sdep, dep,
+        detections, noise_power, signal_power, warden_samples):
+    try:
+        p = SingleMetricParams(metric=metric, method=method, snr_b_db=snr_b_db,
+                               eve_snr_db=eve_snr_db, tx_antennas=tx, rx_antennas=rx,
+                               eve_antennas=eve, rate_threshold=rate_threshold, sdep=sdep,
+                               dep=dep, detections=detections, noise_power=noise_power,
+                               signal_power=signal_power, warden_samples=warden_samples)
+    except SpecError:
+        return
+    _secrecy_scenario(p, p.snr_b_db)
+    SemanticProfile(p.sdep)
+    WardenModel(p.noise_power, p.signal_power, p.warden_samples)
+    dfp(p.dep, p.detections)

@@ -12,6 +12,7 @@ from siotsec import (
     asc_mc,
     pnz,
     pnz_mc,
+    secrecy,
     secrecy_capacity,
     semantic_sop,
     snr_saving_db,
@@ -174,6 +175,17 @@ def test_snr_saving_increases_with_sdep():
                for sdep in np.arange(0.0, 0.91, 0.1)]
     assert savings[0] == 0.0
     assert all(b > a for a, b in zip(savings, savings[1:]))
+
+
+@pytest.mark.parametrize("sdep,saving,evals", [(0.3, 0.302734375, 21), (0.7, 1.07421875, 23)])
+def test_snr_saving_integrates_each_snr_point_once(monkeypatch, sdep, saving, evals):
+    # both bisections start from one bracket, so they share its ends and first midpoints
+    points = []
+    sop = secrecy.sop_numeric
+    monkeypatch.setattr(secrecy, "sop_numeric",
+                        lambda s: points.append(s.snr_b.mean_branch_snr) or sop(s))
+    assert snr_saving_db(FIG3_SCENARIO, SemanticProfile(sdep), 1e-2) == saving
+    assert len(points) == len(set(points)) == evals
 
 
 def test_snr_saving_bracket_and_input_errors():
