@@ -78,47 +78,45 @@ class ToyEncoder:
         return float(np.linalg.norm(self.w2, 2) * np.linalg.norm(self.w1, 2))
 
 
-def _forward(enc: ToyEncoder, x_flat: np.ndarray) -> np.ndarray:
-    return enc.w2 @ np.tanh(enc.w1 @ x_flat + enc.b1) + enc.b2
+def _activations(enc: ToyEncoder, x_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One forward pass: hidden layer t = tanh(w1 x + b1) and embedding u = w2 t + b2."""
+    t = np.tanh(enc.w1 @ x_flat + enc.b1)
+    return t, enc.w2 @ t + enc.b2
 
 
 def encode(enc: ToyEncoder, img: ImageTensor) -> np.ndarray:
     """Embedding vector of an image; deterministic for fixed weights."""
     if img.size != enc.input_dim:
         raise ValueError(f"image has {img.size} pixels, encoder expects {enc.input_dim}")
-    return _forward(enc, img.flat())
+    return _activations(enc, img.flat())[1]
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine of the angle between two embeddings; undefined for zero vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    return _cosine_with_grad(np.asarray(u, dtype=float), np.asarray(v, dtype=float))[0]
+
+
+def _cosine_with_grad(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """cosine_sim(u, v) and its gradient with respect to u."""
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("cosine similarity is undefined for a zero vector")
-    return float(u @ v / (nu * nv))
+    dot = u @ v
+    return float(dot / (nu * nv)), v / (nu * nv) - dot / (nu**3 * nv) * u
 
 
-def _backprop(enc: ToyEncoder, x_flat: np.ndarray, d_embedding: np.ndarray) -> np.ndarray:
-    t = np.tanh(enc.w1 @ x_flat + enc.b1)
+def _backprop(enc: ToyEncoder, t: np.ndarray, d_embedding: np.ndarray) -> np.ndarray:
+    """Pixel gradient of d_embedding . u, from the hidden layer t of u's forward pass."""
     return enc.w1.T @ ((1.0 - t**2) * (enc.w2.T @ d_embedding))
-
-
-def _grad_flat(enc: ToyEncoder, x_flat: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    u = _forward(enc, x_flat)
-    nu = np.linalg.norm(u)
-    nr = np.linalg.norm(reference)
-    if nu == 0.0 or nr == 0.0:
-        raise ValueError("cosine similarity is undefined for a zero vector")
-    d_cos = reference / (nu * nr) - (u @ reference) / (nu**3 * nr) * u
-    return _backprop(enc, x_flat, d_cos)
 
 
 def grad_similarity(enc: ToyEncoder, img: ImageTensor, reference: np.ndarray) -> np.ndarray:
     """Pixel gradient of cosine_sim(encode(img), reference), image-shaped."""
     if img.size != enc.input_dim:
         raise ValueError(f"image has {img.size} pixels, encoder expects {enc.input_dim}")
-    return _grad_flat(enc, img.flat(), np.asarray(reference, dtype=float)).reshape(img.values.shape)
+    t, u = _activations(enc, img.flat())
+    d_cos = _cosine_with_grad(u, np.asarray(reference, dtype=float))[1]
+    return _backprop(enc, t, d_cos).reshape(img.values.shape)
 
 
 @dataclass(frozen=True)
@@ -151,8 +149,7 @@ class AttackTrace:
     adversarial: ImageTensor
 
     def __post_init__(self):
-        vals = np.asarray(self.best_similarity, dtype=float)
-        vals = vals.copy()
+        vals = np.array(self.best_similarity, dtype=float)
         vals.flags.writeable = False
         object.__setattr__(self, "best_similarity", vals)
 
@@ -173,18 +170,20 @@ def run_attack(enc: ToyEncoder, src: ImageTensor, reference: np.ndarray,
     sign = 1.0 if cfg.mode == "targeted" else -1.0
 
     x = src_flat.copy()
-    best = cosine_sim(_forward(enc, x), reference)
+    t, u = _activations(enc, x)
+    best, d_cos = _cosine_with_grad(u, reference)
     best_x = x.copy()
     trace = [best]
     for _ in range(cfg.max_iters):
-        g = _grad_flat(enc, x, reference)
+        g = _backprop(enc, t, d_cos)
         if np.max(np.abs(g)) < _STATIONARY_EPS:
-            g = _backprop(enc, x, reference)
+            g = _backprop(enc, t, reference)
         x = np.clip(x + sign * cfg.step_size * np.sign(g), lo, hi)
         if np.max(np.abs(x - src_flat)) > cfg.epsilon + 1e-12:
             raise RuntimeError("internal error: iterate left the perturbation ball")
-        s = cosine_sim(_forward(enc, x), reference)
-        if (cfg.mode == "targeted" and s > best) or (cfg.mode == "untargeted" and s < best):
+        t, u = _activations(enc, x)
+        s, d_cos = _cosine_with_grad(u, reference)
+        if sign * s > sign * best:
             best = s
             best_x = x.copy()
         trace.append(best)

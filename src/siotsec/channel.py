@@ -165,11 +165,12 @@ def snr_pdf(model: SnrModel, x):
 
 
 def snr_quantile(model: SnrModel, p):
-    """Inverse CDF at probability p in [0, 1)."""
+    """Inverse CDF at probability p in [0, 1); inf where it exceeds the float range."""
     p = np.asarray(p, dtype=float)
     if np.any(p < 0) or np.any(p >= 1):
         raise ValueError("p must be in [0, 1)")
-    out = special.gammaincinv(model.gamma_shape, p) * model.mean_branch_snr
+    with np.errstate(over="ignore"):
+        out = special.gammaincinv(model.gamma_shape, p) * model.mean_branch_snr
     return out if out.ndim else float(out)
 
 

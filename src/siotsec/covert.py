@@ -26,16 +26,17 @@ class WardenModel:
     samples_per_detection: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.noise_power) and self.noise_power > 0):
-            raise ValueError(f"noise_power must be finite and > 0, got {self.noise_power}")
-        if not (math.isfinite(self.received_signal_power) and self.received_signal_power >= 0):
-            raise ValueError(
-                f"received_signal_power must be finite and >= 0, got {self.received_signal_power}"
-            )
         if not isinstance(self.samples_per_detection, int) or self.samples_per_detection < 1:
             raise ValueError(
                 f"samples_per_detection must be an integer >= 1, got {self.samples_per_detection!r}"
             )
+        if not (math.isfinite(self.noise_power) and self.noise_power > 0):
+            raise ValueError(f"noise_power must be finite and > 0, got {self.noise_power}")
+        # the mean look energy under transmission bounds the optimal threshold
+        energy = self.samples_per_detection * (self.noise_power + self.received_signal_power)
+        if not (self.received_signal_power >= 0 and math.isfinite(energy)):
+            raise ValueError(f"received_signal_power must be >= 0 with a finite mean look energy "
+                             f"n * (noise + signal power), got {self.received_signal_power}")
 
 
 @dataclass(frozen=True)
@@ -122,13 +123,18 @@ def dep_energy_detector(w: WardenModel, threshold: float) -> DetectionErrors:
 
 
 def optimal_threshold(w: WardenModel) -> float:
-    """Energy level where the silent and transmitting densities cross."""
-    s0 = w.noise_power
-    s1 = w.noise_power + w.received_signal_power
-    if w.received_signal_power == 0.0:
-        # hypotheses coincide; any threshold gives dep = 1
-        return w.samples_per_detection * s0
-    return w.samples_per_detection * math.log(s1 / s0) / (1.0 / s0 - 1.0 / s1)
+    """Energy level where the silent and transmitting densities cross:
+    n * s1 * log1p(q) / q with q = P / s0, which lies in [n * s0, n * s1]."""
+    n = w.samples_per_detection
+    s0, p = w.noise_power, w.received_signal_power
+    s1 = s0 + p
+    q = p / s0
+    if q == 0.0:  # P = 0, where any threshold gives dep = 1, or P / s0 underflows
+        return n * s1
+    if math.isinf(q):
+        # P / s0 overflows: n * s0 * (1 + q) / q * log1p(q), with log1p(q) = log(P / s0)
+        return n * s0 * (s1 / p) * (math.log(p) - math.log(s0))
+    return n * s1 * (math.log1p(q) / q)
 
 
 def dep_optimal(w: WardenModel) -> OptimalDetection:
@@ -145,27 +151,12 @@ def dep_optimal(w: WardenModel) -> OptimalDetection:
 
 
 def hypothesis_total_variation(w: WardenModel) -> float:
-    """Total variation distance between the silent and transmitting energy laws,
-    by numeric integration of |f1 - f0| / 2."""
-    # imported here: scipy.integrate costs about 0.35 s and 25 MiB to load,
-    # and no other covert metric integrates
-    from scipy import integrate
-
+    """Total variation distance between the silent and transmitting energy laws:
+    Q(n, tau/s1) - Q(n, tau/s0) at their one density crossing tau; 1 - DEP_min."""
     n = w.samples_per_detection
-    s0 = w.noise_power
-    s1 = w.noise_power + w.received_signal_power
-    if w.received_signal_power == 0.0:
-        return 0.0
-
-    def gpdf(x, scale):
-        return math.exp((n - 1) * math.log(x) - x / scale
-                        - special.gammaln(n) - n * math.log(scale))
-
-    hi = float(special.gammaincinv(n, 1.0 - 1e-12)) * s1
-    # |f1 - f0| has a kink where the densities cross; give quad that breakpoint
-    val, _ = integrate.quad(lambda x: 0.5 * abs(gpdf(x, s1) - gpdf(x, s0)),
-                            1e-300, hi, limit=400, points=[optimal_threshold(w)])
-    return val
+    tau = optimal_threshold(w)
+    return float(special.gammaincc(n, tau / (w.noise_power + w.received_signal_power))
+                 - special.gammaincc(n, tau / w.noise_power))
 
 
 def dfp_mc(dep: float, n_int: int, trials: int, seed: RngSeed) -> EstimateWithError:

@@ -59,8 +59,8 @@ SINGLE_METRICS = ("sop", "pnz", "asc", "ssop", "dep", "dfp")
 MAX_GRID_POINTS = 10_001
 # attack fixture limits, checked before any array is built.  The encoder has
 # hidden_dim * (height * width * channels + embed_dim) float64 weights: 32 MB
-# at the limit, where one attack iteration takes about 5 ms; the run time grows
-# with max_iters * weights, which is capped as well
+# at the limit, where one attack iteration takes about 5.5 ms on one BLAS thread
+# of a 2-vCPU host (2.5 ms on two); max_iters * weights is capped as well
 MAX_ATTACK_ITERS = 100_000
 MAX_ENCODER_WEIGHTS = 4_000_000
 MAX_ATTACK_WORK = 10**10
@@ -240,6 +240,7 @@ class SingleMetricParams:
         _require(self.method == "numeric" or MC_MIN_SAMPLES <= self.mc_samples <= MC_MAX_SAMPLES,
                  "mc_samples", f"must be in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}]")
         _require(0.0 < self.dep <= 1.0, "dep", "must be in (0, 1]")
+        _require(math.isfinite(self.threshold), "threshold", "must be finite (negative = optimal)")
         # Monte Carlo samples a whole number of looks, as a C long
         _require(self.method == "numeric" or self.metric != "dfp"
                  or (float(self.detections).is_integer() and self.detections < 2**63),
@@ -432,7 +433,7 @@ def run_fig3_sweep(spec: ExperimentSpec) -> ResultTable:
         try:
             sop = sop_numeric(p.scenario(snr_db))
         except QuadratureError as e:
-            raise QuadratureError(f"SOP at snr_b_db={snr_db:g}", e.residual) from e
+            raise QuadratureError(f"{e.message}, at snr_b_db={snr_db:g}", e.residual) from e
         rows.append([snr_db, sop] + [semantic_sop(sop, SemanticProfile(sdep))
                                      for sdep in p.sdep_list])
     return _make_table(spec, columns, rows)

@@ -39,11 +39,11 @@ SAVING_TOL_DB = 0.01
 
 
 class QuadratureError(RuntimeError):
-    """Numeric integration failed to reach the requested tolerance."""
+    """Numeric integration failed to reach its tolerance, or its range overflows."""
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float = math.inf):
         super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
+        self.message, self.residual = message, residual
 
 
 class BracketError(ValueError):
@@ -107,6 +107,8 @@ def secrecy_capacity(gamma_b, gamma_e):
 
 
 def _quad(fn, lo: float, hi: float, what: str) -> float:
+    if not math.isfinite(hi):
+        raise QuadratureError(f"quadrature for {what} cannot start: its SNR range overflows")
     # imported here: scipy.integrate costs about 0.35 s and 25 MiB to load,
     # and the Monte Carlo, covert and attack routes never integrate
     from scipy import integrate
@@ -119,8 +121,11 @@ def _quad(fn, lo: float, hi: float, what: str) -> float:
 
 def sop_numeric(s: SecrecyScenario) -> float:
     """Secrecy outage probability by adaptive quadrature."""
-    pow2 = 2.0**s.rate_threshold
+    # Python's 2.0**1024 raises OverflowError where numpy would return inf
+    pow2 = 2.0**s.rate_threshold if s.rate_threshold < 1024 else math.inf
     x_max = snr_quantile(s.snr_e, 1.0 - _TAIL_PROB)
+    if not math.isfinite(pow2 * (1.0 + x_max)):  # the top SNR the integrand reads
+        raise QuadratureError("quadrature for SOP cannot start: its SNR range overflows")
 
     def integrand(x):
         return snr_pdf(s.snr_e, x) * snr_cdf(s.snr_b, pow2 * (1.0 + x) - 1.0)

@@ -6,6 +6,7 @@ from siotsec import (
     ImageTensor,
     RngSeed,
     ToyEncoder,
+    attack,
     cosine_sim,
     defense_eval,
     encode,
@@ -113,6 +114,21 @@ def test_gradient_rejects_zero_reference(fixture):
     enc, src, _ = fixture
     with pytest.raises(ValueError):
         grad_similarity(enc, src, np.zeros(enc.output_dim))
+
+
+@pytest.mark.parametrize("mode", ["targeted", "untargeted"])
+def test_attack_makes_one_forward_and_one_backward_pass_per_iteration(fixture, monkeypatch,
+                                                                      mode):
+    enc, src, target = fixture
+    reference = encode(enc, target if mode == "targeted" else src)
+    calls = []
+    for name in ("_activations", "_backprop"):
+        fn = getattr(attack, name)
+        monkeypatch.setattr(attack, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    run_attack(enc, src, reference, AttackConfig(mode, 0.1, 0.004, 25))
+    assert calls.count("_activations") == 26
+    # untargeted starts at its own reference, a stationary point: one fallback step
+    assert calls.count("_backprop") == 25 + (mode == "untargeted")
 
 
 def test_attack_with_zero_budget_is_identity(fixture):

@@ -246,7 +246,6 @@ def test_dfp_look_flags_are_checked_by_the_covert_model(capsys, flag, value, fie
     assert field in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv,fig3,field", [
     (["sop", "--snr-b-db", "4000"], None, "snr_b_db"),
     (["sop", "--snr-e-db", "-4000"], None, "eve_snr_db"),
@@ -258,6 +257,9 @@ def test_dfp_look_flags_are_checked_by_the_covert_model(capsys, flag, value, fie
     (["dfp", "--detections", "inf"], None, "detections"),
     # at 3100 dB the linear SNR overflows: rejected before any quadrature
     (None, "snr_db_stop = 3100\nsnr_mode = pathloss", "snr_db_stop"),
+    (["dep", "--noise-power", "1e308", "--signal-power", "1e308"], None, "signal_power"),
+    (["dep", "--threshold", "inf"], None, "threshold"),
+    (["dep", "--threshold", "nan"], None, "threshold"),
 ])
 def test_bad_values_fail_at_parse_naming_the_field(capsys, tmp_path, monkeypatch, argv, fig3,
                                                    field):
@@ -275,10 +277,50 @@ def test_bad_values_fail_at_parse_naming_the_field(capsys, tmp_path, monkeypatch
     assert runs == [] and sops == []
 
 
+@pytest.mark.parametrize("argv,fig3,metric", [
+    # 2**rate overflows, or a mean SNR above about 3066 dB overflows the tail quantile
+    (["sop", "--rate", "2000"], None, "SOP"),
+    (["ssop", "--rate", "2000"], None, "SOP"),
+    (None, "rate_threshold = 2000", "SOP"),
+    (["sop", "--snr-e-db", "3070"], None, "SOP"),
+    (["pnz", "--snr-e-db", "3070"], None, "PNZ"),
+    (["asc", "--snr-b-db", "3070", "--snr-e-db", "3000"], None, "ASC"),
+])
+def test_quadrature_beyond_the_float_range_is_one_error_line(capsys, tmp_path, argv, fig3,
+                                                             metric):
+    if fig3 is not None:
+        spec = tmp_path / "fig3.cfg"
+        spec.write_text(f"[experiment]\nkind = fig3_sweep\n[fig3]\n{fig3}\n")
+        argv = ["sweep", "--spec", str(spec)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"siotsec: error: quadrature for {metric} cannot start")
+
+
+@pytest.mark.parametrize("command", ["pnz", "asc"])
+def test_rate_is_not_bounded_where_it_is_not_read(capsys, command):
+    code, out, err = run_cli(capsys, command, "--rate", "2000")
+    assert code == 0 and not err
+    _, rows = parse_csv(out)
+    assert 0.0 < rows[0][0]
+
+
+@pytest.mark.parametrize("noise,signal,dep", [(1e-300, 1e10, 0.0), (1e300, 1e-30, 1.0)])
+def test_dep_at_extreme_warden_powers(capsys, noise, signal, dep):
+    code, out, err = run_cli(capsys, "dep", "--noise-power", str(noise), "--signal-power",
+                             str(signal), "--format", "json")
+    assert code == 0 and not err
+    values = json.loads(out)["values"]
+    assert 20 * noise <= values[0][0] <= 20 * (noise + signal)
+    assert values[3][0] == pytest.approx(dep, abs=1e-12)
+
+
 def test_save_image_runs_the_attack_once(capsys, tmp_path, monkeypatch):
     steps = []
-    grad = attack._grad_flat
-    monkeypatch.setattr(attack, "_grad_flat", lambda *a: steps.append(1) or grad(*a))
+    grad = attack._backprop
+    monkeypatch.setattr(attack, "_backprop", lambda *a: steps.append(1) or grad(*a))
     code, _, _ = run_cli(capsys, "attack", "--iters", "20", "--save-image",
                          str(tmp_path / "adv.pgm"))
     assert code == 0 and len(steps) == 20

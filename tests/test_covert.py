@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -112,6 +113,10 @@ def test_warden_validation():
         WardenModel(1.0, -0.5, 10)
     with pytest.raises(ValueError):
         WardenModel(1.0, 1.0, 0)
+    # the mean look energy n * (noise + signal power) must be finite
+    for args in ((1e308, 1e308, 1), (1e308, 0.0, 2)):
+        with pytest.raises(ValueError, match="received_signal_power"):
+            WardenModel(*args)
 
 
 def test_dep_silent_signal_is_blind():
@@ -183,7 +188,20 @@ def test_dep_optimal_equals_one_minus_total_variation():
         tv = hypothesis_total_variation(w)
         dep_min = dep_optimal(w).dep_min
         assert max(0.0, 1.0 - tv) <= dep_min + 1e-9 <= 1.0 + 1e-9
-        assert dep_min == pytest.approx(1.0 - tv, abs=1e-7)
+        assert dep_min == pytest.approx(1.0 - tv, abs=1e-12)
+
+
+@pytest.mark.parametrize("noise,signal,n", [
+    (1.0, 0.5, 20), (2.0, 1.0, 10), (2.0, 1e-12, 2),
+    # P / s0 overflows, underflows, or is near either end of the float range
+    (1e-300, 1e10, 20), (1e300, 1e-30, 20), (1e-5, 1e300, 20), (3.3, 1.5e307, 7),
+])
+def test_optimal_threshold_matches_density_crossing(noise, signal, n):
+    # the crossing n * ln(s1/s0) / (1/s0 - 1/s1), at enough digits that s0 + P is exact
+    with mpmath.workdps(700):
+        s0, s1 = mpmath.mpf(noise), mpmath.mpf(noise) + mpmath.mpf(signal)
+        want = float(n * mpmath.log(s1 / s0) / (1 / s0 - 1 / s1))
+    assert optimal_threshold(WardenModel(noise, signal, n)) == pytest.approx(want, rel=1e-12)
 
 
 def test_dfp_mc_agrees_with_power_law():
