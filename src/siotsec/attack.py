@@ -191,10 +191,15 @@ def run_attack(enc: ToyEncoder, src: ImageTensor, reference: np.ndarray,
     return AttackTrace(cfg.mode, np.array(trace), ImageTensor(best_x.reshape(shape)))
 
 
+def _blurred_similarity(enc: ToyEncoder, adv: ImageTensor, reference_img: ImageTensor,
+                        sigma: float, radius: int) -> float:
+    """Embedding similarity of (adv, reference) after blurring both."""
+    return cosine_sim(encode(enc, gaussian_blur(adv, sigma, radius)),
+                      encode(enc, gaussian_blur(reference_img, sigma, radius)))
+
+
 def defense_eval(enc: ToyEncoder, adv: ImageTensor, reference_img: ImageTensor,
-                 sigma: float = 1.5, radius: int = 3) -> tuple[float, float]:
+                 sigma: float, radius: int) -> tuple[float, float]:
     """Embedding similarity of (adv, reference) before and after blurring both."""
-    sim_before = cosine_sim(encode(enc, adv), encode(enc, reference_img))
-    sim_after = cosine_sim(encode(enc, gaussian_blur(adv, sigma, radius)),
-                           encode(enc, gaussian_blur(reference_img, sigma, radius)))
-    return sim_before, sim_after
+    return (cosine_sim(encode(enc, adv), encode(enc, reference_img)),
+            _blurred_similarity(enc, adv, reference_img, sigma, radius))

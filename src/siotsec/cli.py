@@ -18,10 +18,12 @@ from pathlib import Path
 from .covert import CovertScenario, num_detections
 from .harness import (
     KIND_SECTIONS,
+    SINGLE_METRICS,
     AttackParams,
     ExperimentSpec,
     Fig5Params,
     SpecError,
+    _field_errors,
     attack_demo,
     build_spec,
     emit_table,
@@ -29,32 +31,21 @@ from .harness import (
     render_table,
     run_experiment,
 )
-from .images import write_pnm
+from .images import pnm_magic, write_pnm
 from .secrecy import BracketError, QuadratureError
 
 # fields whose flag is not "--" + the field name with "_" replaced by "-"
 _LEGACY_FLAGS = {"eve_snr_db": "--snr-e-db", "rate_threshold": "--rate",
                  "warden_samples": "--samples", "max_iters": "--iters"}
-_SECRECY = ("snr_b_db", "eve_snr_db", "tx_antennas", "rx_antennas", "eve_antennas",
-            "rate_threshold")
-_MC = ("method", "mc_samples")
 # subcommand -> (help, experiment kind, params fields it exposes, fixed params keys)
 _COMMANDS = {
-    "sop": ("secrecy outage probability", "single_metric", _MC + _SECRECY,
-            {"metric": "sop"}),
-    "pnz": ("probability of non-zero secrecy capacity", "single_metric", _MC + _SECRECY,
-            {"metric": "pnz"}),
-    "asc": ("average secrecy capacity", "single_metric", _MC + _SECRECY, {"metric": "asc"}),
-    "ssop": ("semantic secrecy outage probability", "single_metric", _SECRECY + ("sdep",),
-             {"metric": "ssop"}),
-    "dep": ("warden detection error probability", "single_metric",
-            ("noise_power", "signal_power", "warden_samples", "threshold"), {"metric": "dep"}),
-    "dfp": ("detection failure probability", "single_metric", _MC + ("dep", "detections"),
-            {"metric": "dfp"}),
+    **{metric: (help_text, "single_metric", ("method", "mc_samples") + fields if mc else fields,
+                {"metric": metric})
+       for metric, (help_text, fields, _, mc) in SINGLE_METRICS.items()},
     "attack": ("seeded semantic attack demo", "attack_demo",
                tuple(f.name for f in dataclasses.fields(AttackParams)), {}),
 }
-# without --detections, dfp takes the look count from these through the covert model
+# without --detections, a command that reads it counts the looks from these by the covert model
 _LOOK_FLAGS = (("--rate-hz", Fig5Params, "detection_rate_hz"),
                ("--data-bits", Fig5Params, "source_bits"),
                ("--covert-rate", Fig5Params, "covert_rate_bps_hz"),
@@ -86,9 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             sp.add_argument(_LEGACY_FLAGS.get(name, "--" + name.replace("_", "-")), dest=name,
                             help=_help(cls, name))
-    for flag, cls, name in _LOOK_FLAGS:
-        sub.choices["dfp"].add_argument(flag, dest=name, type=float, default=getattr(cls, name),
-                                        help=_help(cls, name))
+        if "detections" in names:
+            for flag, look_cls, name in _LOOK_FLAGS:
+                sp.add_argument(flag, dest=name, type=float, default=getattr(look_cls, name),
+                                help=_help(look_cls, name))
     sub.choices["attack"].add_argument("--save-image", default="",
                                        help="write the adversarial image (PGM/PPM)")
     sp = sub.add_parser("sweep", parents=[common], help="run a spec file")
@@ -107,7 +99,7 @@ def _build_spec(args) -> ExperimentSpec:
     _, kind, names, fixed = _COMMANDS[args.command]
     params = dict(fixed, **{name: getattr(args, name) for name in names
                             if getattr(args, name) is not None})
-    if args.command == "dfp" and "detections" not in params:
+    if "detections" in names and "detections" not in params:
         # the warden's DEP does not enter the look count
         scenario = CovertScenario(dep=Fig5Params.dep,
                                   **{name: getattr(args, name) for _, _, name in _LOOK_FLAGS})
@@ -119,6 +111,9 @@ def _build_spec(args) -> ExperimentSpec:
 def _run(args) -> int:
     spec = _build_spec(args)
     if args.command == "attack":
+        if args.save_image:
+            with _field_errors():  # before the attack, not after it
+                pnm_magic(spec.attack.channels)
         table, adversarial = attack_demo(spec)
         if args.save_image:
             write_pnm(adversarial, args.save_image)

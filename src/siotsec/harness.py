@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import AttackConfig, ToyEncoder, defense_eval, encode, run_attack
+from .attack import AttackConfig, ToyEncoder, _blurred_similarity, encode, run_attack
 from .channel import (
     MC_MAX_SAMPLES,
     MC_MIN_SAMPLES,
@@ -39,8 +39,9 @@ from .channel import (
     avg_received_snr,
     make_snr_model,
 )
-from .covert import (CovertScenario, WardenModel, dep_energy_detector, dep_optimal, dfp, dfp_mc,
-                     num_detections)
+from .covert import (CovertScenario, WardenModel, dep_energy_detector, dfp, dfp_mc, num_detections,
+                     optimal_threshold)
+from .estimate import EstimateWithError
 from .images import ImageTensor, gaussian_kernel, random_image
 from .secrecy import (
     QuadratureError,
@@ -55,7 +56,6 @@ from .secrecy import (
     sop_numeric,
 )
 
-SINGLE_METRICS = ("sop", "pnz", "asc", "ssop", "dep", "dfp")
 MAX_GRID_POINTS = 10_001
 # attack fixture limits, checked before any array is built.  The encoder has
 # hidden_dim * (height * width * channels + embed_dim) float64 weights: 32 MB
@@ -103,6 +103,42 @@ def _secrecy_scenario(p, snr_b_db: float, snr_b_field: str = "snr_b_db", snr_mod
                                         AntennaConfig(p.tx_antennas, getattr(p, rx_field))))
     with _field_errors():
         return SecrecyScenario(*links, p.rate_threshold)
+
+
+def _ssop(p) -> dict:
+    sop = sop_numeric(p.scenario())
+    return {"sop": sop, "ssop": semantic_sop(sop, SemanticProfile(p.sdep))}
+
+
+def _dep(p) -> dict:
+    w = WardenModel(p.noise_power, p.signal_power, p.warden_samples)
+    tau = optimal_threshold(w) if p.threshold < 0 else p.threshold
+    return {"threshold": tau, **dep_energy_detector(w, tau)._asdict()}
+
+
+_SECRECY = ("snr_b_db", "eve_snr_db", "tx_antennas", "rx_antennas", "eve_antennas",
+            "rate_threshold")
+# metric -> (CLI help, the SingleMetricParams fields it reads in CLI flag order, numeric
+# route(params), Monte Carlo route(params, RngSeed) or None).  Each route returns {column:
+# value}; an EstimateWithError value is followed by std_error and n_samples columns.
+SINGLE_METRICS = {
+    "sop": ("secrecy outage probability", _SECRECY,
+            lambda p: {"sop": sop_numeric(p.scenario())},
+            lambda p, seed: {"sop": sop_mc(p.scenario(), p.mc_samples, seed)}),
+    "pnz": ("probability of non-zero secrecy capacity", _SECRECY,
+            lambda p: {"pnz": pnz(p.scenario())},
+            lambda p, seed: {"pnz": pnz_mc(p.scenario(), p.mc_samples, seed)}),
+    "asc": ("average secrecy capacity", _SECRECY,
+            lambda p: {"asc": asc(p.scenario())},
+            lambda p, seed: {"asc": asc_mc(p.scenario(), p.mc_samples, seed)}),
+    "ssop": ("semantic secrecy outage probability", _SECRECY + ("sdep",), _ssop, None),
+    "dep": ("warden detection error probability",
+            ("noise_power", "signal_power", "warden_samples", "threshold"), _dep, None),
+    "dfp": ("detection failure probability", ("dep", "detections"),
+            lambda p: {"detections": p.detections, "dfp": dfp(p.dep, p.detections)},
+            lambda p, seed: {"detections": p.detections,
+                             "dfp": dfp_mc(p.dep, int(p.detections), p.mc_samples, seed)}),
+}
 
 
 def _doc(default, help_text: str):
@@ -212,9 +248,9 @@ class AttackParams:
 
 @dataclass(frozen=True)
 class SingleMetricParams:
-    """One metric evaluation; which fields matter depends on `metric`."""
+    """One metric evaluation; which fields matter depends on `metric` (SINGLE_METRICS)."""
 
-    metric: str = _doc("sop", "sop | pnz | asc | ssop | dep | dfp")
+    metric: str = _doc("sop", " | ".join(SINGLE_METRICS))
     method: str = _doc("numeric", "numeric | mc (mc adds std_error, n_samples columns)")
     mc_samples: int = _doc(10**6, "Monte Carlo sample count")
     snr_b_db: float = _doc(10.0, "legitimate mean SNR, dB")
@@ -232,9 +268,9 @@ class SingleMetricParams:
     threshold: float = _doc(-1.0, "energy threshold (negative = optimal)")
 
     def __post_init__(self):
-        _require(self.metric in SINGLE_METRICS, "metric", f"must be one of {SINGLE_METRICS}")
+        _require(self.metric in SINGLE_METRICS, "metric", f"must be one of {tuple(SINGLE_METRICS)}")
         _require(self.method in ("numeric", "mc"), "method", "must be 'numeric' or 'mc'")
-        _require(self.method == "numeric" or self.metric not in ("ssop", "dep"), "method",
+        _require(self.method == "numeric" or SINGLE_METRICS[self.metric][3] is not None, "method",
                  f"{self.metric} has no Monte Carlo route; must be 'numeric'")
         # the numeric routes never read mc_samples
         _require(self.method == "numeric" or MC_MIN_SAMPLES <= self.mc_samples <= MC_MAX_SAMPLES,
@@ -246,12 +282,16 @@ class SingleMetricParams:
                  or (float(self.detections).is_integer() and self.detections < 2**63),
                  "detections", "must be a whole number below 2**63 for method = mc")
         # every field is checked whichever metric reads it
-        _secrecy_scenario(self, self.snr_b_db)
+        self.scenario()
         with _field_errors(n_detections="detections", received_signal_power="signal_power",
                            samples_per_detection="warden_samples"):
             SemanticProfile(self.sdep)
             dfp(self.dep, self.detections)
             WardenModel(self.noise_power, self.signal_power, self.warden_samples)
+
+    def scenario(self) -> SecrecyScenario:
+        """The secrecy scenario of the sop, pnz, asc and ssop metrics."""
+        return _secrecy_scenario(self, self.snr_b_db)
 
 
 @dataclass(frozen=True)
@@ -475,8 +515,9 @@ def attack_demo(spec: ExperimentSpec) -> tuple[ResultTable, ImageTensor]:
     p = spec.attack
     enc, src, reference_img, cfg = attack_fixture(spec.seed, p)
     trace = run_attack(enc, src, encode(enc, reference_img), cfg)
-    sim_before, sim_after = defense_eval(enc, trace.adversarial, reference_img,
-                                         p.blur_sigma, p.blur_radius)
+    sim_before = trace.final_similarity  # the attack's own score of its adversarial image
+    sim_after = _blurred_similarity(enc, trace.adversarial, reference_img, p.blur_sigma,
+                                    p.blur_radius)
     rows = [[t, s, sim_before, sim_after] for t, s in enumerate(trace.best_similarity)]
     rows.append([p.max_iters + 1, trace.final_similarity, sim_before, sim_after])
     table = _make_table(spec, ["iteration", "best_similarity", "summary_sim_before",
@@ -492,34 +533,15 @@ def run_attack_demo(spec: ExperimentSpec) -> ResultTable:
 def run_single_metric(spec: ExperimentSpec) -> ResultTable:
     """Evaluate one metric and return a one-row table."""
     p = spec.metric
-    seed = RngSeed(spec.seed, 0)
-    if p.metric in ("sop", "pnz", "asc", "ssop"):
-        s = _secrecy_scenario(p, p.snr_b_db)
-        if p.metric == "ssop":
-            sop = sop_numeric(s)
-            return _make_table(spec, ["sop", "ssop"],
-                               [[sop, semantic_sop(sop, SemanticProfile(p.sdep))]])
-        if p.method == "mc":
-            est = {"sop": sop_mc, "pnz": pnz_mc, "asc": asc_mc}[p.metric](s, p.mc_samples, seed)
-            return _make_table(spec, [p.metric, "std_error", "n_samples"],
-                               [[est.value, est.std_error, est.n_samples]])
-        value = {"sop": sop_numeric, "pnz": pnz, "asc": asc}[p.metric](s)
-        return _make_table(spec, [p.metric], [[value]])
-    if p.metric == "dep":
-        w = WardenModel(p.noise_power, p.signal_power, p.warden_samples)
-        if p.threshold < 0:
-            tau, _ = dep_optimal(w)
+    _, _, numeric, mc = SINGLE_METRICS[p.metric]
+    values = mc(p, RngSeed(spec.seed, 0)) if p.method == "mc" else numeric(p)
+    row = {}
+    for column, v in values.items():
+        if isinstance(v, EstimateWithError):
+            row.update({column: v.value, "std_error": v.std_error, "n_samples": v.n_samples})
         else:
-            tau = p.threshold
-        point = dep_energy_detector(w, tau)
-        return _make_table(spec, ["threshold", "p_fa", "p_md", "dep"],
-                           [[tau, point.p_fa, point.p_md, point.dep]])
-    # dfp
-    if p.method == "mc":
-        est = dfp_mc(p.dep, int(p.detections), p.mc_samples, seed)
-        return _make_table(spec, ["detections", "dfp", "std_error", "n_samples"],
-                           [[p.detections, est.value, est.std_error, est.n_samples]])
-    return _make_table(spec, ["detections", "dfp"], [[p.detections, dfp(p.dep, p.detections)]])
+            row[column] = v
+    return _make_table(spec, row, [row.values()])
 
 
 # kind -> (section, params class, runner)

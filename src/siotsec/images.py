@@ -65,7 +65,7 @@ def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
     return k / k.sum()
 
 
-def gaussian_blur(img: ImageTensor, sigma: float = 1.5, radius: int = 3) -> ImageTensor:
+def gaussian_blur(img: ImageTensor, sigma: float, radius: int) -> ImageTensor:
     """Separable Gaussian blur with clamp-to-edge boundaries, per channel."""
     k = gaussian_kernel(sigma, radius)
     out = np.empty_like(img.values)
@@ -76,16 +76,17 @@ def gaussian_blur(img: ImageTensor, sigma: float = 1.5, radius: int = 3) -> Imag
     return ImageTensor(np.clip(out, 0.0, 1.0))
 
 
+def pnm_magic(channels: int) -> str:
+    """Plain-text PGM (1 channel) or PPM (3 channels) magic number."""
+    if channels not in (1, 3):
+        raise ValueError(f"channels must be 1 or 3 for PNM, got {channels}")
+    return "P2" if channels == 1 else "P3"
+
+
 def write_pnm(img: ImageTensor, path) -> None:
     """Write plain-text PGM (1 channel) or PPM (3 channels), maxval 255."""
-    if img.channels == 1:
-        magic = "P2"
-    elif img.channels == 3:
-        magic = "P3"
-    else:
-        raise ValueError(f"PNM supports 1 or 3 channels, got {img.channels}")
+    lines = [pnm_magic(img.channels), f"{img.width} {img.height}", str(_PNM_MAXVAL)]
     levels = np.rint(img.values * _PNM_MAXVAL).astype(int)
-    lines = [magic, f"{img.width} {img.height}", str(_PNM_MAXVAL)]
     for row in levels.reshape(img.height, -1):
         lines.append(" ".join(str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -182,9 +182,9 @@ def test_criterion_7_attack_suite():
         assert trace.adversarial.values.min() >= 0.0
         assert trace.adversarial.values.max() <= 1.0
 
-        sim_before, sim_after = defense_eval(enc, trace.adversarial, target)
+        sim_before, sim_after = defense_eval(enc, trace.adversarial, target, 1.5, 3)
         assert sim_after <= sim_before - 0.15
-        same_before, same_after = defense_eval(enc, src, src)
+        same_before, same_after = defense_eval(enc, src, src, 1.5, 3)
         assert same_before == pytest.approx(1.0, abs=1e-12)
         assert same_after == pytest.approx(1.0, abs=1e-12)
     report(7, f"max gradient error {worst:.1e} <= 1e-4; targeted fixture "

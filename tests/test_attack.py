@@ -174,7 +174,7 @@ def test_untargeted_golden_fixture(fixture):
 
 def test_defense_on_identical_images(fixture):
     enc, src, _ = fixture
-    before, after = defense_eval(enc, src, src)
+    before, after = defense_eval(enc, src, src, 1.5, 3)
     assert before == pytest.approx(1.0, abs=1e-12)
     assert after == pytest.approx(1.0, abs=1e-12)
 
@@ -182,7 +182,7 @@ def test_defense_on_identical_images(fixture):
 def test_blur_defense_lowers_adversarial_similarity(fixture):
     enc, src, target = fixture
     trace = run_attack(enc, src, encode(enc, target), AttackConfig("targeted"))
-    before, after = defense_eval(enc, trace.adversarial, target)
+    before, after = defense_eval(enc, trace.adversarial, target, 1.5, 3)
     assert before >= 0.9
     assert after <= before - 0.15
 

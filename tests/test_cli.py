@@ -326,6 +326,16 @@ def test_save_image_runs_the_attack_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and len(steps) == 20
 
 
+def test_unwritable_channel_count_fails_before_the_attack(capsys, tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run_attack", lambda *a: runs.append(a))
+    code, out, err = run_cli(capsys, "attack", "--channels", "2", "--save-image",
+                             str(tmp_path / "adv.pgm"))
+    assert code == 1 and out == "" and runs == []
+    assert err.splitlines() == ["siotsec: error: channels: must be 1 or 3 for PNM, got 2"]
+    assert not (tmp_path / "adv.pgm").exists()
+
+
 def test_cli_import_leaves_integrate_optimize_and_stats_unloaded():
     # scipy.integrate alone costs about 0.35 s and 25 MiB; only quadrature loads it
     code = ("import sys, siotsec.cli; "

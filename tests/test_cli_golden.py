@@ -3,13 +3,17 @@ saved image) byte for byte.
 
 The files under tests/golden/ were captured from the CLI before its flags
 were rebuilt on the spec parser; `{golden}` in an argument names that
-directory and `{tmp}` a per-test temporary directory.
+directory and `{tmp}` a per-test temporary directory.  The `help*.out`
+files hold the top-level and each subcommand's `--help` text at 80
+columns, captured before the metric subcommands were built from
+`harness.SINGLE_METRICS`.
 """
+import argparse
 from pathlib import Path
 
 import pytest
 
-from siotsec.cli import main
+from siotsec.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,3 +73,31 @@ def test_cli_output_matches_golden(name, capsys, tmp_path):
     if image is not None:
         saved = Path(argv[-1].format(tmp=tmp_path))
         assert saved.read_bytes() == (GOLDEN / image).read_bytes()
+
+
+HELP_COMMANDS = ("sop", "pnz", "asc", "ssop", "dep", "dfp", "attack", "sweep")
+
+
+def help_text(command, monkeypatch, capsys) -> str:
+    """The `--help` output of `command` (None: the top level) at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(([command] if command else []) + ["--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    return captured.out
+
+
+@pytest.mark.parametrize("command", [None, *HELP_COMMANDS])
+def test_help_matches_golden(command, monkeypatch, capsys):
+    name = f"help_{command}.out" if command else "help.out"
+    assert help_text(command, monkeypatch, capsys).encode("utf-8") == \
+        (GOLDEN / name).read_bytes()
+
+
+def test_cli_has_81_flag_slots():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(HELP_COMMANDS)
+    slots = [a for sp in sub.choices.values() for a in sp._actions
+             if not isinstance(a, argparse._HelpAction)]
+    assert len(slots) == 81

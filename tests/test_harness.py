@@ -31,6 +31,8 @@ from siotsec import (
     serialize_spec,
     snr_saving_db,
 )
+from siotsec import attack, harness
+from siotsec.estimate import EstimateWithError
 from siotsec.harness import (
     MAX_ATTACK_ITERS,
     MAX_BLUR_RADIUS,
@@ -268,6 +270,25 @@ def test_attack_demo_defaults_reach_target_and_defense_works():
     assert final[1] == sim_before
 
 
+def test_attack_demo_encodes_three_images(monkeypatch):
+    # the reference and the two blurred images; the trace already scores the adversarial one
+    calls, encode = [], attack.encode
+    for module in (attack, harness):
+        monkeypatch.setattr(module, "encode", lambda *a: calls.append(1) or encode(*a))
+    harness.attack_demo(spec_of("attack_demo"))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("mode", ["targeted", "untargeted"])
+@pytest.mark.parametrize("seed", range(4))
+def test_attack_demo_summary_is_defense_eval_bit_for_bit(mode, seed):
+    p = AttackParams(mode=mode, max_iters=30, channels=1 + 2 * (seed % 2))
+    table, adversarial = harness.attack_demo(ExperimentSpec("attack_demo", seed, attack=p))
+    enc, _, reference_img, _ = harness.attack_fixture(seed, p)
+    assert table.rows[0][2:] == attack.defense_eval(enc, adversarial, reference_img,
+                                                    p.blur_sigma, p.blur_radius)
+
+
 def test_single_metric_all_metrics_run():
     for body, column in (
         ("metric = sop", "sop"),
@@ -294,6 +315,21 @@ def test_single_metric_all_metrics_run():
     t = run_single_metric(spec_of(
         "single_metric", "[metric]\nmetric = dep\nthreshold = 24.0\n"))
     assert t.rows[0][0] == 24.0
+
+
+def test_a_metric_is_one_table_entry(monkeypatch):
+    # a new entry is validated, dispatched and tabulated with no other change
+    entry = ("twice the warden DEP", ("dep",), lambda p: {"twice_dep": 2 * p.dep},
+             lambda p, seed: {"twice_dep": EstimateWithError(2 * p.dep, 0.5, 1000)})
+    monkeypatch.setitem(harness.SINGLE_METRICS, "twice_dep", entry)
+    body = "[metric]\nmetric = twice_dep\ndep = 0.25\n"
+    t = run_single_metric(spec_of("single_metric", body))
+    assert t.columns == ("twice_dep",) and t.rows == ((0.5,),)
+    t = run_single_metric(spec_of("single_metric", body + "method = mc\nmc_samples = 1000\n"))
+    assert t.columns == ("twice_dep", "std_error", "n_samples") and t.rows == ((0.5, 0.5, 1e3),)
+    monkeypatch.setitem(harness.SINGLE_METRICS, "twice_dep", entry[:3] + (None,))
+    with pytest.raises(SpecError, match="twice_dep has no Monte Carlo route"):
+        spec_of("single_metric", body + "method = mc\n")
 
 
 def test_run_experiment_dispatch():
