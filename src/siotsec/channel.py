@@ -6,11 +6,11 @@ diversity branches.  k = 1 recovers Rayleigh (exponential SNR).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 SNR_MODES = ("direct", "pathloss")
 
@@ -138,6 +138,15 @@ def make_snr_model(avg_snr: float, antennas: AntennaConfig) -> SnrModel:
     return SnrModel(mean_branch_snr=avg_snr, gamma_shape=antennas.tx_antennas * antennas.rx_antennas)
 
 
+@functools.cache
+def _special():
+    """scipy.special, loaded on first use: importing it takes about 0.45 s,
+    and the Monte Carlo, attack and spec-building paths never call it.
+    Cached, so quad's thousands of integrand calls each skip the import."""
+    from scipy import special
+    return special
+
+
 def _check_nonnegative(x: np.ndarray, what: str):
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise ValueError(f"{what} must be finite and >= 0")
@@ -147,7 +156,7 @@ def snr_cdf(model: SnrModel, x):
     """P(gamma <= x); regularized lower incomplete gamma function."""
     x = np.asarray(x, dtype=float)
     _check_nonnegative(x, "x")
-    out = special.gammainc(model.gamma_shape, x / model.mean_branch_snr)
+    out = _special().gammainc(model.gamma_shape, x / model.mean_branch_snr)
     return out if out.ndim else float(out)
 
 
@@ -157,7 +166,7 @@ def snr_pdf(model: SnrModel, x):
     _check_nonnegative(x, "x")
     k, s = model.gamma_shape, model.mean_branch_snr
     with np.errstate(divide="ignore", invalid="ignore"):
-        logpdf = (k - 1) * np.log(x) - x / s - special.gammaln(k) - k * np.log(s)
+        logpdf = (k - 1) * np.log(x) - x / s - _special().gammaln(k) - k * np.log(s)
         out = np.exp(logpdf)
     # x = 0 is a removable special case: density 1/s for k = 1, else 0
     out = np.where(x == 0, 1.0 / s if k == 1 else 0.0, out)
@@ -170,13 +179,17 @@ def snr_quantile(model: SnrModel, p):
     if np.any(p < 0) or np.any(p >= 1):
         raise ValueError("p must be in [0, 1)")
     with np.errstate(over="ignore"):
-        out = special.gammaincinv(model.gamma_shape, p) * model.mean_branch_snr
+        out = _special().gammaincinv(model.gamma_shape, p) * model.mean_branch_snr
     return out if out.ndim else float(out)
 
 
 def sample_snr(model: SnrModel, n: int, seed: RngSeed) -> np.ndarray:
-    """n i.i.d. instantaneous-SNR draws, deterministic given (seed, stream_id)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    """n i.i.d. instantaneous-SNR draws, deterministic given (seed, stream_id).
+
+    Raises ValueError unless 1 <= n <= MC_MAX_SAMPLES.
+    """
+    if not isinstance(n, int) or not (1 <= n <= MC_MAX_SAMPLES):
+        raise ValueError(f"SNR sample count must be an integer in "
+                         f"[1, {MC_MAX_SAMPLES}], got {n!r}")
     rng = seed.generator()
     return rng.gamma(model.gamma_shape, model.mean_branch_snr, size=n)

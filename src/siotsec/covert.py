@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from scipy import special
-
-from .channel import RngSeed
+from .channel import RngSeed, _special
 from .estimate import EstimateWithError, mc_estimate
 
 
@@ -117,6 +115,7 @@ def dep_energy_detector(w: WardenModel, threshold: float) -> DetectionErrors:
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     n = w.samples_per_detection
+    special = _special()
     p_fa = float(special.gammaincc(n, threshold / w.noise_power))
     p_md = float(special.gammainc(n, threshold / (w.noise_power + w.received_signal_power)))
     return DetectionErrors(p_fa, p_md, p_fa + p_md)
@@ -154,6 +153,7 @@ def hypothesis_total_variation(w: WardenModel) -> float:
     """Total variation distance between the silent and transmitting energy laws:
     Q(n, tau/s1) - Q(n, tau/s0) at their one density crossing tau; 1 - DEP_min."""
     n = w.samples_per_detection
+    special = _special()
     tau = optimal_threshold(w)
     return float(special.gammaincc(n, tau / (w.noise_power + w.received_signal_power))
                  - special.gammaincc(n, tau / w.noise_power))

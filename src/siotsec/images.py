@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .channel import RngSeed
 
@@ -65,13 +64,26 @@ def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
     return k / k.sum()
 
 
+def _correlate_clamped(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Correlate the odd symmetric kernel k along axis 0 of x, edges clamped.
+
+    Each output sums in scipy.ndimage.correlate1d's order for such a kernel,
+    centre tap first and then (x[i-d] + x[i+d]) * k[r-d] for d = r down to 1,
+    so the result equals ndimage's mode="nearest" output bit for bit.
+    """
+    r, n = len(k) // 2, len(x)
+    padded = x[np.clip(np.arange(-r, n + r), 0, n - 1)]
+    out = padded[r:r + n] * k[r]
+    for d in range(r, 0, -1):
+        out += (padded[r - d:r - d + n] + padded[r + d:r + d + n]) * k[r - d]
+    return out
+
+
 def gaussian_blur(img: ImageTensor, sigma: float, radius: int) -> ImageTensor:
     """Separable Gaussian blur with clamp-to-edge boundaries, per channel."""
     k = gaussian_kernel(sigma, radius)
-    out = np.empty_like(img.values)
-    for c in range(img.channels):
-        plane = ndimage.convolve1d(img.values[:, :, c], k, axis=0, mode="nearest")
-        out[:, :, c] = ndimage.convolve1d(plane, k, axis=1, mode="nearest")
+    rows = _correlate_clamped(img.values, k)
+    out = _correlate_clamped(rows.swapaxes(0, 1), k).swapaxes(0, 1)
     # convex combination of inputs; clip only guards fp round-off
     return ImageTensor(np.clip(out, 0.0, 1.0))
 

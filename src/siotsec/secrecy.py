@@ -109,8 +109,8 @@ def secrecy_capacity(gamma_b, gamma_e):
 def _quad(fn, lo: float, hi: float, what: str) -> float:
     if not math.isfinite(hi):
         raise QuadratureError(f"quadrature for {what} cannot start: its SNR range overflows")
-    # imported here: scipy.integrate costs about 0.35 s and 25 MiB to load,
-    # and the Monte Carlo, covert and attack routes never integrate
+    # imported here, like channel's scipy.special: scipy.integrate costs about
+    # 0.35 s and 25 MiB to load, and only quadrature needs it
     from scipy import integrate
 
     val, abserr = integrate.quad(fn, lo, hi, epsabs=_QUAD_EPSABS, epsrel=1e-10, limit=200)

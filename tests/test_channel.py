@@ -14,6 +14,7 @@ from siotsec import (
     snr_pdf,
     snr_quantile,
 )
+from siotsec.channel import MC_MAX_SAMPLES
 
 MODELS = [SnrModel(1.0, 1), SnrModel(1.0, 9), SnrModel(0.5, 2), SnrModel(3.0, 4)]
 
@@ -143,6 +144,9 @@ def test_empirical_quantiles_match_cdf():
 def test_sample_snr_rejects_bad_n():
     with pytest.raises(ValueError):
         sample_snr(SnrModel(1.0, 1), 0, RngSeed(0, 0))
+    # rejected before one array of n floats is allocated
+    with pytest.raises(ValueError, match=rf"must be an integer in \[1, {MC_MAX_SAMPLES}\]"):
+        sample_snr(SnrModel(1.0, 1), MC_MAX_SAMPLES + 1, RngSeed(0, 0))
 
 
 def test_rng_seed_validation():

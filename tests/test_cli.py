@@ -336,12 +336,44 @@ def test_unwritable_channel_count_fails_before_the_attack(capsys, tmp_path, monk
     assert not (tmp_path / "adv.pgm").exists()
 
 
-def test_cli_import_leaves_integrate_optimize_and_stats_unloaded():
-    # scipy.integrate alone costs about 0.35 s and 25 MiB; only quadrature loads it
-    code = ("import sys, siotsec.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.stats') "
-            "if m in sys.modules))")
+# Runs each argv given as JSON through cli.main in one fresh process and prints
+# [step, exit code, scipy modules loaded so far] after each import and command.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import siotsec
+report = [["import siotsec", 0, scipy_modules()]]
+import siotsec.cli
+report.append(["import siotsec.cli", 0, scipy_modules()])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = siotsec.cli.main(argv)
+    report.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_on_the_first_call_that_needs_it(tmp_path):
+    # scipy.special takes about 0.45 s to import and scipy.integrate 0.35 s more;
+    # the Monte Carlo, dfp, attack and fig5 routes call neither
+    unloaded = [["attack"], ["attack", "--save-image", str(tmp_path / "adv.pgm")], ["dfp"],
+                ["dfp", "--method", "mc", "--mc-samples", "70000"],
+                *([metric, "--method", "mc", "--mc-samples", "70000"]
+                  for metric in ("sop", "pnz", "asc")),
+                ["sweep", "--spec", str(Path(__file__).parent / "golden" / "fig5.cfg")]]
     src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                          json.dumps(unloaded + [["dep"], ["sop"]])],
+                         capture_output=True, text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    report = json.loads(out.stdout)
+    assert [step for step, _, _ in report[2:]] == [" ".join(a) for a in unloaded] + ["dep", "sop"]
+    for step, code, loaded in report[:-2]:
+        assert (code, loaded) == (0, []), step
+    (_, dep_code, after_dep), (_, sop_code, after_sop) = report[-2:]
+    assert dep_code == 0 and "scipy.special" in after_dep
+    assert "scipy.integrate" not in after_dep
+    assert sop_code == 0 and "scipy.integrate" in after_sop

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,22 @@ def test_blur_output_in_range():
     img = random_image(8, 8, 3, RngSeed(6, 0))
     out = gaussian_blur(img, 2.0, 4)
     assert out.values.min() >= 0.0 and out.values.max() <= 1.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (2, 7, 1), (9, 4, 3), (16, 16, 1),
+                                   (32, 32, 3)])
+def test_blur_equals_ndimage_bit_for_bit(shape):
+    from scipy import ndimage  # the reference the numpy blur must reproduce exactly
+
+    img = random_image(*shape, RngSeed(sum(shape), 7))
+    for sigma, radius in product((0.05, 0.3, 1.5, 4.0, 10.0), (1, 3, 8, 20)):
+        k = gaussian_kernel(sigma, radius)
+        expected = np.empty(shape)
+        for c in range(shape[2]):
+            plane = ndimage.convolve1d(img.values[:, :, c], k, axis=0, mode="nearest")
+            expected[:, :, c] = ndimage.convolve1d(plane, k, axis=1, mode="nearest")
+        out = gaussian_blur(img, sigma, radius)
+        assert np.array_equal(out.values, np.clip(expected, 0.0, 1.0)), (sigma, radius)
 
 
 def test_pnm_gray_roundtrip(tmp_path):
