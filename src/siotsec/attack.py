@@ -141,12 +141,14 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class AttackTrace:
-    """Best-so-far objective per iteration (index 0 = before any step) and
-    the best adversarial image found."""
+    """Best-so-far objective per iteration (index 0 = before any step), the
+    best adversarial image found, and the number of gradient steps computed
+    (max_iters unless the iterates entered a cycle sooner)."""
 
     mode: str
     best_similarity: np.ndarray
     adversarial: ImageTensor
+    steps: int
 
     def __post_init__(self):
         vals = np.array(self.best_similarity, dtype=float)
@@ -170,17 +172,24 @@ def run_attack(enc: ToyEncoder, src: ImageTensor, reference: np.ndarray,
     sign = 1.0 if cfg.mode == "targeted" else -1.0
 
     x = src_flat.copy()
+    x_back = None  # the iterate before x
     t, u = _activations(enc, x)
     best, d_cos = _cosine_with_grad(u, reference)
     best_x = x.copy()
     trace = [best]
-    for _ in range(cfg.max_iters):
+    for steps in range(1, cfg.max_iters + 1):
         g = _backprop(enc, t, d_cos)
         if np.max(np.abs(g)) < _STATIONARY_EPS:
             g = _backprop(enc, t, reference)
+        x_two_back, x_back = x_back, x
         x = np.clip(x + sign * cfg.step_size * np.sign(g), lo, hi)
         if np.max(np.abs(x - src_flat)) > cfg.epsilon + 1e-12:
             raise RuntimeError("internal error: iterate left the perturbation ball")
+        if x_two_back is not None and np.array_equal(x, x_two_back):
+            # the next iterate depends on x alone, so the run now replays a
+            # cycle of states already scored: best cannot change again
+            trace += [best] * (cfg.max_iters + 1 - len(trace))
+            break
         t, u = _activations(enc, x)
         s, d_cos = _cosine_with_grad(u, reference)
         if sign * s > sign * best:
@@ -188,7 +197,7 @@ def run_attack(enc: ToyEncoder, src: ImageTensor, reference: np.ndarray,
             best_x = x.copy()
         trace.append(best)
     shape = src.values.shape
-    return AttackTrace(cfg.mode, np.array(trace), ImageTensor(best_x.reshape(shape)))
+    return AttackTrace(cfg.mode, np.array(trace), ImageTensor(best_x.reshape(shape)), steps)
 
 
 def _blurred_similarity(enc: ToyEncoder, adv: ImageTensor, reference_img: ImageTensor,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -88,6 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, and help is formatted when printed
+    return build_parser()
+
+
 def _build_spec(args) -> ExperimentSpec:
     experiment = {key: getattr(args, key) for key in ("seed", "format")
                   if getattr(args, key) is not None}
@@ -130,7 +137,7 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        return _run(build_parser().parse_args(argv))
+        return _run(_parser().parse_args(argv))
     except (SpecError, BracketError, QuadratureError, ValueError, OSError) as e:
         print(f"siotsec: error: {e}", file=sys.stderr)
         return 1

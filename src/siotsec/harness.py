@@ -60,7 +60,9 @@ MAX_GRID_POINTS = 10_001
 # attack fixture limits, checked before any array is built.  The encoder has
 # hidden_dim * (height * width * channels + embed_dim) float64 weights: 32 MB
 # at the limit, where one attack iteration takes about 5.5 ms on one BLAS thread
-# of a 2-vCPU host (2.5 ms on two); max_iters * weights is capped as well
+# of a 2-vCPU host (2.5 ms on two); max_iters * weights is capped as well.  An
+# attack stops early once its iterates cycle, but a run that never cycles takes
+# every step, so the worst case is unchanged
 MAX_ATTACK_ITERS = 100_000
 MAX_ENCODER_WEIGHTS = 4_000_000
 MAX_ATTACK_WORK = 10**10

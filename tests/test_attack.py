@@ -125,10 +125,63 @@ def test_attack_makes_one_forward_and_one_backward_pass_per_iteration(fixture, m
     for name in ("_activations", "_backprop"):
         fn = getattr(attack, name)
         monkeypatch.setattr(attack, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-    run_attack(enc, src, reference, AttackConfig(mode, 0.1, 0.004, 25))
+    trace = run_attack(enc, src, reference, AttackConfig(mode, 0.1, 0.004, 25))
+    assert trace.steps == 25  # these iterates never cycle, so every step runs
     assert calls.count("_activations") == 26
     # untargeted starts at its own reference, a stationary point: one fallback step
     assert calls.count("_backprop") == 25 + (mode == "untargeted")
+
+
+def every_step(enc, src, reference, cfg):
+    """run_attack's trace and image, computed over all max_iters steps with no stop."""
+    sign = 1.0 if cfg.mode == "targeted" else -1.0
+    x = src.flat()
+    lo, hi = np.maximum(x - cfg.epsilon, 0.0), np.minimum(x + cfg.epsilon, 1.0)
+    best, trace = None, []
+    for _ in range(cfg.max_iters + 1):
+        t, u = attack._activations(enc, x)
+        s, d_cos = attack._cosine_with_grad(u, reference)
+        if best is None or sign * s > sign * best:
+            best, best_x = s, x
+        trace.append(best)
+        g = attack._backprop(enc, t, d_cos)
+        if np.max(np.abs(g)) < attack._STATIONARY_EPS:
+            g = attack._backprop(enc, t, reference)
+        x = np.clip(x + sign * cfg.step_size * np.sign(g), lo, hi)
+    return np.array(trace), best_x.reshape(src.values.shape)
+
+
+# (height, width, channels, hidden_dim, embed_dim): the benchmark's two fixtures and a small one
+ATTACK_SHAPES = [(8, 8, 1, 16, 6), (16, 16, 1, 32, 8), (32, 32, 3, 64, 16)]
+# (epsilon, step_size, max_iters); None is AttackConfig's default budget
+ATTACK_BUDGETS = {"default": None, "fine": (0.03, 0.001, 500), "coarse": (0.5, 0.05, 300),
+                  "zero": (0.0, 0.01, 20), "one_step": (0.1, 0.004, 1),
+                  "two_steps": (0.1, 0.004, 2), "no_cycle": (0.1, 0.004, 25)}
+
+
+@pytest.mark.parametrize("budget", ATTACK_BUDGETS)
+@pytest.mark.parametrize("mode", ["targeted", "untargeted"])
+@pytest.mark.parametrize("shape", ATTACK_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_stopping_at_a_cycle_equals_running_every_step(shape, mode, budget):
+    h, w, c, hidden, embed = shape
+    enc = ToyEncoder.from_seed(h * w * c, hidden, embed, RngSeed(FIXTURE_SEED, 0))
+    src = random_image(h, w, c, RngSeed(FIXTURE_SEED, 1))
+    reference = encode(enc, random_image(h, w, c, RngSeed(FIXTURE_SEED, 2))
+                       if mode == "targeted" else src)
+    values = ATTACK_BUDGETS[budget]
+    cfg = AttackConfig(mode) if values is None else AttackConfig(mode, *values)
+    trace = run_attack(enc, src, reference, cfg)
+    want_trace, want_image = every_step(enc, src, reference, cfg)
+    assert np.array_equal(trace.best_similarity, want_trace)
+    assert np.array_equal(trace.adversarial.values, want_image)
+    assert len(trace.best_similarity) == cfg.max_iters + 1
+    assert 1 <= trace.steps <= cfg.max_iters
+    if budget == "default":
+        assert trace.steps < cfg.max_iters  # these runs cycle well before 300 steps
+    elif budget == "zero":
+        assert trace.steps == 2  # the source is a fixed point, caught one step later
+    elif budget == "no_cycle":
+        assert trace.steps == cfg.max_iters
 
 
 def test_attack_with_zero_budget_is_identity(fixture):

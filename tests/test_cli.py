@@ -318,12 +318,14 @@ def test_dep_at_extreme_warden_powers(capsys, noise, signal, dep):
 
 
 def test_save_image_runs_the_attack_once(capsys, tmp_path, monkeypatch):
-    steps = []
-    grad = attack._backprop
+    steps, traces = [], []
+    grad, run = attack._backprop, harness.run_attack
     monkeypatch.setattr(attack, "_backprop", lambda *a: steps.append(1) or grad(*a))
+    monkeypatch.setattr(harness, "run_attack", lambda *a: traces.append(run(*a)) or traces[-1])
     code, _, _ = run_cli(capsys, "attack", "--iters", "20", "--save-image",
                          str(tmp_path / "adv.pgm"))
     assert code == 0 and len(steps) == 20
+    assert [t.steps for t in traces] == [20]  # one run, whose iterates never cycle
 
 
 def test_unwritable_channel_count_fails_before_the_attack(capsys, tmp_path, monkeypatch):
