@@ -153,17 +153,33 @@ def _check_nonnegative(x: np.ndarray, what: str):
 
 
 def snr_cdf(model: SnrModel, x):
-    """P(gamma <= x); regularized lower incomplete gamma function."""
+    """P(gamma <= x); regularized lower incomplete gamma function.
+
+    Raises ValueError unless every x is finite and >= 0; `_cdf` holds the formula.
+    """
     x = np.asarray(x, dtype=float)
     _check_nonnegative(x, "x")
+    return _cdf(model, x)
+
+
+def _cdf(model: SnrModel, x):
+    """snr_cdf without the input check: the caller guarantees x is finite and >= 0."""
     out = _special().gammainc(model.gamma_shape, x / model.mean_branch_snr)
     return out if out.ndim else float(out)
 
 
 def snr_pdf(model: SnrModel, x):
-    """Density of the instantaneous SNR at x >= 0."""
+    """Density of the instantaneous SNR at x >= 0.
+
+    Raises ValueError unless every x is finite and >= 0; `_pdf` holds the formula.
+    """
     x = np.asarray(x, dtype=float)
     _check_nonnegative(x, "x")
+    return _pdf(model, x)
+
+
+def _pdf(model: SnrModel, x):
+    """snr_pdf without the input check: the caller guarantees x is finite and >= 0."""
     k, s = model.gamma_shape, model.mean_branch_snr
     with np.errstate(divide="ignore", invalid="ignore"):
         logpdf = (k - 1) * np.log(x) - x / s - _special().gammaln(k) - k * np.log(s)

@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (LinkGeometry, RngSeed, SnrModel, avg_received_snr, snr_cdf, snr_pdf,
-                      snr_quantile)
+from .channel import LinkGeometry, RngSeed, SnrModel, _cdf, _pdf, avg_received_snr, snr_quantile
 from .estimate import EstimateWithError, mc_estimate
 
 _LN2 = math.log(2.0)
@@ -107,6 +106,10 @@ def secrecy_capacity(gamma_b, gamma_e):
 
 
 def _quad(fn, lo: float, hi: float, what: str) -> float:
+    # The integrands call channel's unchecked _pdf/_cdf: QUADPACK evaluates fn
+    # only inside [lo, hi] = [0, x_max], x_max is checked finite here (and SOP
+    # checks pow2 * (1 + x_max)), and pow2 >= 1, so every SNR they read,
+    # x or pow2 * (1 + x) - 1, is finite and >= 0.
     if not math.isfinite(hi):
         raise QuadratureError(f"quadrature for {what} cannot start: its SNR range overflows")
     # imported here, like channel's scipy.special: scipy.integrate costs about
@@ -128,7 +131,7 @@ def sop_numeric(s: SecrecyScenario) -> float:
         raise QuadratureError("quadrature for SOP cannot start: its SNR range overflows")
 
     def integrand(x):
-        return snr_pdf(s.snr_e, x) * snr_cdf(s.snr_b, pow2 * (1.0 + x) - 1.0)
+        return _pdf(s.snr_e, x) * _cdf(s.snr_b, pow2 * (1.0 + x) - 1.0)
 
     val = _quad(integrand, 0.0, x_max, "SOP")
     # the truncated eavesdropper tail contributes at most _TAIL_PROB
@@ -168,7 +171,7 @@ def pnz(s: SecrecyScenario) -> float:
     x_max = snr_quantile(s.snr_e, 1.0 - _TAIL_PROB)
 
     def integrand(x):
-        return snr_pdf(s.snr_e, x) * (1.0 - snr_cdf(s.snr_b, x))
+        return _pdf(s.snr_e, x) * (1.0 - _cdf(s.snr_b, x))
 
     return min(1.0, max(0.0, _quad(integrand, 0.0, x_max, "PNZ")))
 
@@ -184,7 +187,7 @@ def asc(s: SecrecyScenario) -> float:
     x_max = max(snr_quantile(s.snr_b, 1.0 - _TAIL_PROB), snr_quantile(s.snr_e, 1.0 - _TAIL_PROB))
 
     def integrand(x):
-        return snr_cdf(s.snr_e, x) * (1.0 - snr_cdf(s.snr_b, x)) / (1.0 + x)
+        return _cdf(s.snr_e, x) * (1.0 - _cdf(s.snr_b, x)) / (1.0 + x)
 
     return max(0.0, _quad(integrand, 0.0, x_max, "ASC") / _LN2)
 

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from siotsec import (
     BracketError,
     EstimateWithError,
+    QuadratureError,
     RngSeed,
     SecrecyScenario,
     SemanticProfile,
@@ -15,10 +18,14 @@ from siotsec import (
     secrecy,
     secrecy_capacity,
     semantic_sop,
+    snr_cdf,
+    snr_pdf,
+    snr_quantile,
     snr_saving_db,
     sop_mc,
     sop_numeric,
 )
+from siotsec import channel
 
 
 def siso(gb: float, ge: float, rs: float = 1.0) -> SecrecyScenario:
@@ -211,3 +218,74 @@ def test_estimate_validation():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         SecrecyScenario(SnrModel(1.0), SnrModel(1.0), -1.0)
+
+
+def _checked_reference(metric, s: SecrecyScenario) -> float:
+    """metric(s) with integrands that call the public, checked snr_pdf/snr_cdf."""
+    x_e = snr_quantile(s.snr_e, 1.0 - secrecy._TAIL_PROB)
+    if metric is sop_numeric:
+        pow2 = 2.0**s.rate_threshold
+        val = secrecy._quad(
+            lambda x: snr_pdf(s.snr_e, x) * snr_cdf(s.snr_b, pow2 * (1.0 + x) - 1.0),
+            0.0, x_e, "SOP")
+        return min(1.0, max(0.0, val))
+    if metric is pnz:
+        val = secrecy._quad(lambda x: snr_pdf(s.snr_e, x) * (1.0 - snr_cdf(s.snr_b, x)),
+                            0.0, x_e, "PNZ")
+        return min(1.0, max(0.0, val))
+    x_max = max(snr_quantile(s.snr_b, 1.0 - secrecy._TAIL_PROB), x_e)
+    val = secrecy._quad(
+        lambda x: snr_cdf(s.snr_e, x) * (1.0 - snr_cdf(s.snr_b, x)) / (1.0 + x),
+        0.0, x_max, "ASC")
+    return max(0.0, val / secrecy._LN2)
+
+
+@pytest.mark.parametrize("metric", [sop_numeric, pnz, asc], ids=["sop", "pnz", "asc"])
+def test_numeric_metrics_check_inputs_once_per_call(monkeypatch, metric):
+    checks = []
+    check = channel._check_nonnegative
+    monkeypatch.setattr(channel, "_check_nonnegative",
+                        lambda x, what: checks.append(what) or check(x, what))
+    for s in (siso(10.0, 1.0), FIG3_SCENARIO, shaped(2.0, 0.5, 64, 9, rs=2.0),
+              shaped(0.1, 3.0, 1, 64, rs=0.0), shaped(30.0, 30.0, 64, 64, rs=1.0)):
+        value = metric(s)
+        assert checks == []
+        # the same integral, node for node, through the checked public functions
+        assert value == _checked_reference(metric, s)
+        assert checks  # the reference did go through the check
+        checks.clear()
+
+
+# scipy flags a few tiny ASC integrals on this grid as slowly convergent; the
+# test reads the nodes quad evaluated, not its convergence
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_integrands_read_only_finite_nonnegative_snrs(monkeypatch):
+    # the integrands call channel's unchecked kernels; this is the check they skip
+    args = []
+
+    def recorder(kernel):
+        return lambda model, x: args.append(x) or kernel(model, x)
+
+    monkeypatch.setattr(secrecy, "_pdf", recorder(channel._pdf))
+    monkeypatch.setattr(secrecy, "_cdf", recorder(channel._cdf))
+    overflows = 0
+    for kb, ke, db_b, db_e, rate in itertools.product(
+            (1, 4, 64), (1, 4, 64), (-20, 0, 30, 60), (-20, 0, 30, 60), (0.0, 1.0, 1023.0)):
+        s = shaped(10.0 ** (db_b / 10), 10.0 ** (db_e / 10), kb, ke, rs=rate)
+        for metric in (sop_numeric, pnz, asc):
+            args.clear()
+            try:
+                metric(s)
+            except QuadratureError as err:
+                # only SOP's range check raises here, before any node is read
+                assert metric is sop_numeric and "cannot start" in err.message
+                x_max = snr_quantile(s.snr_e, 1.0 - secrecy._TAIL_PROB)
+                assert rate == 1023.0 and not np.isfinite(2.0**rate * (1.0 + x_max))
+                assert args == []
+                overflows += 1
+                continue
+            nodes = np.array(args)
+            assert nodes.size > 0
+            assert np.all(np.isfinite(nodes)) and np.all(nodes >= 0.0)
+    # the same calls raise QuadratureError as when every node went through the check
+    assert overflows == 120
