@@ -98,7 +98,8 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
 
 def _cosine_with_grad(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     """cosine_sim(u, v) and its gradient with respect to u."""
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    # the same ddot and correctly rounded sqrt as np.linalg.norm, without its wrapper
+    nu, nv = math.sqrt(u @ u), math.sqrt(v @ v)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("cosine similarity is undefined for a zero vector")
     dot = u @ v
@@ -170,6 +171,8 @@ def run_attack(enc: ToyEncoder, src: ImageTensor, reference: np.ndarray,
     lo = np.maximum(src_flat - cfg.epsilon, 0.0)
     hi = np.minimum(src_flat + cfg.epsilon, 1.0)
     sign = 1.0 if cfg.mode == "targeted" else -1.0
+    step = sign * cfg.step_size
+    buf = np.empty_like(src_flat)  # scratch for |g| and |x - src|
 
     x = src_flat.copy()
     x_back = None  # the iterate before x
@@ -179,13 +182,19 @@ def run_attack(enc: ToyEncoder, src: ImageTensor, reference: np.ndarray,
     trace = [best]
     for steps in range(1, cfg.max_iters + 1):
         g = _backprop(enc, t, d_cos)
-        if np.max(np.abs(g)) < _STATIONARY_EPS:
+        if np.abs(g, out=buf).max() < _STATIONARY_EPS:
             g = _backprop(enc, t, reference)
         x_two_back, x_back = x_back, x
-        x = np.clip(x + sign * cfg.step_size * np.sign(g), lo, hi)
-        if np.max(np.abs(x - src_flat)) > cfg.epsilon + 1e-12:
+        # x_back + step * sign(g), clipped to [lo, hi], in a fresh array: the
+        # previous iterates and best_x keep theirs
+        x = np.sign(g)
+        x *= step
+        x += x_back
+        np.maximum(x, lo, out=x)
+        np.minimum(x, hi, out=x)
+        if np.abs(np.subtract(x, src_flat, out=buf), out=buf).max() > cfg.epsilon + 1e-12:
             raise RuntimeError("internal error: iterate left the perturbation ball")
-        if x_two_back is not None and np.array_equal(x, x_two_back):
+        if x_two_back is not None and (x == x_two_back).all():
             # the next iterate depends on x alone, so the run now replays a
             # cycle of states already scored: best cannot change again
             trace += [best] * (cfg.max_iters + 1 - len(trace))

@@ -18,7 +18,6 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import typing
@@ -440,7 +439,11 @@ def spec_sha256(spec: ExperimentSpec) -> str:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Rectangular table of finite reals with ordered columns and metadata."""
+    """Rectangular table of finite reals with ordered columns and metadata.
+
+    The rows are stored as tuples of Python floats, whatever sequences of
+    reals they were given as.
+    """
 
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
@@ -449,11 +452,12 @@ class ResultTable:
     def __post_init__(self):
         if not self.columns:
             raise ValueError("table must have at least one column")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("rows must match the column count")
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError("table values must be finite")
+        if set(map(len, self.rows)) - {len(self.columns)}:
+            raise ValueError("rows must match the column count")
+        values = np.array(self.rows, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("table values must be finite")
+        object.__setattr__(self, "rows", tuple(map(tuple, values.tolist())))
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
@@ -463,7 +467,7 @@ class ResultTable:
 def _make_table(spec: ExperimentSpec, columns, rows) -> ResultTable:
     meta = (("spec_sha256", spec_sha256(spec)), ("seed", str(spec.seed)),
             ("tool_version", __version__))
-    return ResultTable(tuple(columns), tuple(tuple(float(v) for v in row) for row in rows), meta)
+    return ResultTable(tuple(columns), rows, meta)
 
 
 def run_fig3_sweep(spec: ExperimentSpec) -> ResultTable:
@@ -543,7 +547,7 @@ def run_single_metric(spec: ExperimentSpec) -> ResultTable:
             row.update({column: v.value, "std_error": v.std_error, "n_samples": v.n_samples})
         else:
             row[column] = v
-    return _make_table(spec, row, [row.values()])
+    return _make_table(spec, row, [list(row.values())])
 
 
 # kind -> (section, params class, runner)
@@ -559,28 +563,25 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     return KIND_SECTIONS[spec.kind][2](spec)
 
 
-def _sci(x: float) -> str:
-    mantissa, exponent = f"{x:.6e}".split("e")
-    return f"{mantissa}e{int(exponent)}"
-
-
 def render_csv(table: ResultTable) -> str:
-    buf = io.StringIO()
-    for key, value in table.metadata:
-        buf.write(f"# {key}={value}\n")
-    buf.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        buf.write(",".join(_sci(v) for v in row) + "\n")
-    return buf.getvalue()
+    head = "".join(f"# {key}={value}\n" for key, value in table.metadata)
+    line = ",".join(["%.6e"] * len(table.columns)) + "\n"
+    body = "".join([line % row for row in table.rows])
+    # %e writes a signed exponent of two or more digits (1.000000e+00); the
+    # table writes it unpadded and without "+" (1.000000e0, 1.000000e-5)
+    body = body.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
+    return head + ",".join(table.columns) + "\n" + body
 
 
 def render_json(table: ResultTable) -> str:
-    obj = {
-        "metadata": dict(table.metadata),
-        "columns": list(table.columns),
-        "values": [[row[i] for row in table.rows] for i in range(len(table.columns))],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    obj = {"metadata": dict(table.metadata), "columns": list(table.columns)}
+    if not table.rows:
+        return json.dumps({**obj, "values": [[] for _ in table.columns]}, indent=2) + "\n"
+    # json.dumps(indent=2) layout, with each value column joined directly:
+    # json writes a finite float as float.__repr__ does
+    values = ",\n    ".join("[\n      " + ",\n      ".join(map(float.__repr__, col)) + "\n    ]"
+                           for col in zip(*table.rows))
+    return json.dumps(obj, indent=2)[:-2] + ',\n  "values": [\n    ' + values + "\n  ]\n}\n"
 
 
 def render_table(table: ResultTable, fmt: str) -> str:

@@ -99,8 +99,8 @@ def write_pnm(img: ImageTensor, path) -> None:
     """Write plain-text PGM (1 channel) or PPM (3 channels), maxval 255."""
     lines = [pnm_magic(img.channels), f"{img.width} {img.height}", str(_PNM_MAXVAL)]
     levels = np.rint(img.values * _PNM_MAXVAL).astype(int)
-    for row in levels.reshape(img.height, -1):
-        lines.append(" ".join(str(v) for v in row))
+    for row in levels.reshape(img.height, -1).tolist():
+        lines.append(" ".join(map(str, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -116,7 +116,10 @@ def _quad(fn, lo: float, hi: float, what: str) -> float:
     # 0.35 s and 25 MiB to load, and only quadrature needs it
     from scipy import integrate
 
-    val, abserr = integrate.quad(fn, lo, hi, epsabs=_QUAD_EPSABS, epsrel=1e-10, limit=200)
+    # full_output makes quad return its IntegrationWarning text, not emit it:
+    # the residual check below decides alone
+    val, abserr = integrate.quad(fn, lo, hi, epsabs=_QUAD_EPSABS, epsrel=1e-10, limit=200,
+                                 full_output=1)[:2]
     if not math.isfinite(val) or abserr > _QUAD_FAIL:
         raise QuadratureError(f"quadrature for {what} did not converge", abserr)
     return val

@@ -133,20 +133,36 @@ def test_attack_makes_one_forward_and_one_backward_pass_per_iteration(fixture, m
 
 
 def every_step(enc, src, reference, cfg):
-    """run_attack's trace and image, computed over all max_iters steps with no stop."""
+    """run_attack's trace and image, computed over all max_iters steps with no stop.
+
+    Written with test-local numpy, not attack's helpers: the forward pass, the
+    cosine (norms by np.linalg.norm) and its gradient, and the backprop.
+    """
+    def forward(x):
+        t = np.tanh(enc.w1 @ x + enc.b1)
+        return t, enc.w2 @ t + enc.b2
+
+    def backprop(t, d_embedding):
+        return enc.w1.T @ ((1.0 - t**2) * (enc.w2.T @ d_embedding))
+
+    def cosine_and_grad(u):
+        nu, nv = np.linalg.norm(u), np.linalg.norm(reference)
+        dot = u @ reference
+        return float(dot / (nu * nv)), reference / (nu * nv) - dot / (nu**3 * nv) * u
+
     sign = 1.0 if cfg.mode == "targeted" else -1.0
     x = src.flat()
     lo, hi = np.maximum(x - cfg.epsilon, 0.0), np.minimum(x + cfg.epsilon, 1.0)
     best, trace = None, []
     for _ in range(cfg.max_iters + 1):
-        t, u = attack._activations(enc, x)
-        s, d_cos = attack._cosine_with_grad(u, reference)
+        t, u = forward(x)
+        s, d_cos = cosine_and_grad(u)
         if best is None or sign * s > sign * best:
             best, best_x = s, x
         trace.append(best)
-        g = attack._backprop(enc, t, d_cos)
+        g = backprop(t, d_cos)
         if np.max(np.abs(g)) < attack._STATIONARY_EPS:
-            g = attack._backprop(enc, t, reference)
+            g = backprop(t, reference)
         x = np.clip(x + sign * cfg.step_size * np.sign(g), lo, hi)
     return np.array(trace), best_x.reshape(src.values.shape)
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siotsec import (
@@ -337,12 +338,22 @@ def test_run_experiment_dispatch():
 
 
 def test_result_table_validation():
-    with pytest.raises(ValueError):
-        ResultTable(("a",), ((1.0, 2.0),), ())
-    with pytest.raises(ValueError):
-        ResultTable(("a",), ((float("nan"),),), ())
+    with pytest.raises(ValueError, match="at least one column"):
+        ResultTable((), (), ())
+    for rows in (((1.0, 2.0),), ((1.0,), (2.0,), (3.0, 4.0)), ((1.0,), ())):
+        with pytest.raises(ValueError, match="^rows must match the column count$"):
+            ResultTable(("a",), rows, ())
+    for bad in (math.nan, math.inf, -math.inf):
+        for rows in (((bad,),), ((1.0,), (2.0,), (bad,))):
+            with pytest.raises(ValueError, match="^table values must be finite$"):
+                ResultTable(("a",), rows, ())
     t = ResultTable(("a", "b"), ((1.0, 2.0), (3.0, 4.0)), (("k", "v"),))
     np.testing.assert_array_equal(t.column("b"), [2.0, 4.0])
+    # rows of any reals are stored as tuples of Python floats
+    t = ResultTable(("a", "b"), [[np.float64(0.5), 2], np.array([-0.0, 3.0])], ())
+    assert t.rows == ((0.5, 2.0), (-0.0, 3.0))
+    assert all(type(v) is float for row in t.rows for v in row)
+    assert math.copysign(1.0, t.rows[1][0]) == -1.0
 
 
 def test_csv_rendering_format():
@@ -354,6 +365,13 @@ def test_csv_rendering_format():
     assert lines[2] == "3.585000e-1,1.000000e0"
     assert lines[3] == "-5.000000e-1,1.234568e4"
     assert text.endswith("\n")
+    # values whose 7-digit rounding carries into the next exponent, and the ends of the range
+    # (9.9999995e-5 is stored just below its tie and keeps its exponent)
+    values = (9.9999995e-5, 9.9999996e-5, 9.99999951e99, 9.9999995e-10, 5e-324,
+              1.7976931348623157e308, -0.0)
+    text = render_csv(ResultTable(("x",), tuple((v,) for v in values), ()))
+    assert text.splitlines()[1:] == ["9.999999e-5", "1.000000e-4", "1.000000e100", "1.000000e-9",
+                                     "4.940656e-324", "1.797693e308", "-0.000000e0"]
 
 
 def test_csv_header_only_for_empty_rows():
@@ -369,6 +387,57 @@ def test_json_rendering_roundtrip():
     assert obj["metadata"]["seed"] == "9"
     with pytest.raises(ValueError):
         render_table(t, "xml")
+
+
+def _sci(x: float) -> str:
+    mantissa, exponent = f"{x:.6e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+def reference_csv(table: ResultTable) -> str:
+    """The CSV rendering written one value at a time."""
+    buf = io.StringIO()
+    for key, value in table.metadata:
+        buf.write(f"# {key}={value}\n")
+    buf.write(",".join(table.columns) + "\n")
+    for row in table.rows:
+        buf.write(",".join(_sci(v) for v in row) + "\n")
+    return buf.getvalue()
+
+
+def reference_json(table: ResultTable) -> str:
+    """The JSON rendering as one json.dumps of the whole table."""
+    obj = {
+        "metadata": dict(table.metadata),
+        "columns": list(table.columns),
+        "values": [[row[i] for row in table.rows] for i in range(len(table.columns))],
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 9.9999995e-5, 9.9999996e-5, 9.99999951e99, 1e16, 0.1])
+_NAME = st.text(max_size=6) | st.sampled_from(['"', "\\", "é∂", 'a"b\\c', "\u00e9\u2603 \t"])
+
+
+@st.composite
+def tables(draw):
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[_FINITE] * ncols), max_size=8))
+    columns = draw(st.lists(_NAME, min_size=ncols, max_size=ncols))
+    metadata = draw(st.lists(st.tuples(_NAME, _NAME), max_size=3))
+    return ResultTable(tuple(columns), tuple(rows), tuple(metadata))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(table=tables())
+@example(table=ResultTable(("x", "y"), (), (("q", 'a"b\\c é'),)))
+@example(table=ResultTable(("x",), ((9.9999996e-5,), (9.99999951e99,), (-0.0,)), ()))
+@example(table=ResultTable(("x",), ((5e-324,), (1.7976931348623157e308,)), (("k", "ü"),)))
+def test_renderers_equal_the_per_value_renderings(table):
+    assert render_csv(table) == reference_csv(table)
+    assert render_json(table) == reference_json(table)
 
 
 def test_emit_table_writes_bytes(tmp_path):

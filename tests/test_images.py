@@ -132,6 +132,29 @@ def test_pnm_color_roundtrip(tmp_path):
     assert np.allclose(back.values, img.values, atol=1e-12)
 
 
+def pnm_per_pixel(img: ImageTensor) -> bytes:
+    """Plain PGM/PPM text written one sample at a time, rounding halves to even."""
+    h, w, c = img.values.shape
+    lines = ["P2" if c == 1 else "P3", f"{w} {h}", "255"]
+    for i in range(h):
+        lines.append(" ".join(str(round(float(img.values[i, j, k]) * 255))
+                              for j in range(w) for k in range(c)))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# 0, 1 and every rounding tie (k + 0.5) / 255, then a seeded random fill
+_LEVELS = np.array([0.0, 1.0] + [(k + 0.5) / 255 for k in range(255)]
+                   + list(random_image(1, 31, 1, RngSeed(3, 0)).values.ravel()))
+
+
+@pytest.mark.parametrize("shape", [(12, 24, 1), (1, 288, 1), (8, 12, 3), (96, 1, 3)])
+def test_write_pnm_equals_a_per_pixel_writer(tmp_path, shape):
+    img = ImageTensor(np.resize(_LEVELS, shape))
+    path = tmp_path / "img.pnm"
+    write_pnm(img, path)
+    assert path.read_bytes() == pnm_per_pixel(img)
+
+
 def test_pnm_rejects_bad_payloads(tmp_path):
     with pytest.raises(ValueError):
         write_pnm(random_image(2, 2, 2, RngSeed(0, 0)), tmp_path / "x.pnm")

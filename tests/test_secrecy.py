@@ -25,7 +25,8 @@ from siotsec import (
     sop_mc,
     sop_numeric,
 )
-from siotsec import channel
+from siotsec import channel, cli
+from siotsec.harness import SingleMetricParams
 
 
 def siso(gb: float, ge: float, rs: float = 1.0) -> SecrecyScenario:
@@ -256,9 +257,6 @@ def test_numeric_metrics_check_inputs_once_per_call(monkeypatch, metric):
         checks.clear()
 
 
-# scipy flags a few tiny ASC integrals on this grid as slowly convergent; the
-# test reads the nodes quad evaluated, not its convergence
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_integrands_read_only_finite_nonnegative_snrs(monkeypatch):
     # the integrands call channel's unchecked kernels; this is the check they skip
     args = []
@@ -289,3 +287,30 @@ def test_integrands_read_only_finite_nonnegative_snrs(monkeypatch):
             assert np.all(np.isfinite(nodes)) and np.all(nodes >= 0.0)
     # the same calls raise QuadratureError as when every node went through the check
     assert overflows == 120
+
+
+def test_quadrature_message_is_not_a_warning(capsys, monkeypatch):
+    # scipy calls this ASC integral "probably divergent, or slowly convergent";
+    # its residual is within _QUAD_FAIL, so the value stands and nothing is
+    # printed (a warning would fail this test, as tier-1 turns warnings into errors)
+    from scipy import integrate
+
+    messages = []
+    quad = integrate.quad
+
+    def recording_quad(*args, **kwargs):
+        out = quad(*args, **kwargs)
+        if len(out) == 4:  # with full_output, a fourth item is the warning's text
+            messages.append(out[3])
+        return out
+
+    monkeypatch.setattr(integrate, "quad", recording_quad)
+    s = SingleMetricParams(metric="asc", snr_b_db=-20.0, eve_snr_db=0.0, tx_antennas=2,
+                           rx_antennas=2, eve_antennas=2).scenario()
+    assert f"{asc(s):.6e}" == "7.089144e-09"
+    assert any("divergent" in m for m in messages)
+    assert cli.main(["asc", "--snr-b-db", "-20", "--snr-e-db", "0", "--tx-antennas", "2",
+                     "--rx-antennas", "2", "--eve-antennas", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-2:] == ["asc", "7.089144e-9"]
+    assert err == ""
