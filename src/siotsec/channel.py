@@ -159,13 +159,13 @@ def snr_cdf(model: SnrModel, x):
     """
     x = np.asarray(x, dtype=float)
     _check_nonnegative(x, "x")
-    return _cdf(model, x)
+    out = _cdf(model, x)
+    return out if out.ndim else float(out)
 
 
 def _cdf(model: SnrModel, x):
-    """snr_cdf without the input check: the caller guarantees x is finite and >= 0."""
-    out = _special().gammainc(model.gamma_shape, x / model.mean_branch_snr)
-    return out if out.ndim else float(out)
+    """The bare formula behind snr_cdf: the caller guarantees x is finite and >= 0."""
+    return _special().gammainc(model.gamma_shape, x / model.mean_branch_snr)
 
 
 def snr_pdf(model: SnrModel, x):
@@ -175,18 +175,18 @@ def snr_pdf(model: SnrModel, x):
     """
     x = np.asarray(x, dtype=float)
     _check_nonnegative(x, "x")
-    return _pdf(model, x)
-
-
-def _pdf(model: SnrModel, x):
-    """snr_pdf without the input check: the caller guarantees x is finite and >= 0."""
     k, s = model.gamma_shape, model.mean_branch_snr
     with np.errstate(divide="ignore", invalid="ignore"):
-        logpdf = (k - 1) * np.log(x) - x / s - _special().gammaln(k) - k * np.log(s)
-        out = np.exp(logpdf)
+        out = _pdf(model, x)
     # x = 0 is a removable special case: density 1/s for k = 1, else 0
     out = np.where(x == 0, 1.0 / s if k == 1 else 0.0, out)
     return out if out.ndim else float(out)
+
+
+def _pdf(model: SnrModel, x):
+    """The bare formula behind snr_pdf: the caller guarantees x is finite and > 0."""
+    k, s = model.gamma_shape, model.mean_branch_snr
+    return np.exp((k - 1) * np.log(x) - x / s - _special().gammaln(k) - k * np.log(s))
 
 
 def snr_quantile(model: SnrModel, p):

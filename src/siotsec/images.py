@@ -1,6 +1,8 @@
 """Pixel grids in [0, 1], plain-text PGM/PPM round-trips, and Gaussian blur."""
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -9,6 +11,8 @@ import numpy as np
 from .channel import RngSeed
 
 _PNM_MAXVAL = 255
+# a + or - not followed by a digit
+_STRAY_SIGN = re.compile(r"[+-](?!\d)")
 
 
 @dataclass(frozen=True)
@@ -104,20 +108,30 @@ def write_pnm(img: ImageTensor, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _parse_samples(body: str) -> np.ndarray:
+    """Whitespace-separated decimal integers, parsed in one numpy call."""
+    # numpy reads a lone sign as 0 and a sign before whitespace as part of
+    # the next number, where int() rejects both; write_pnm writes no signs
+    if ("-" in body or "+" in body) and _STRAY_SIGN.search(body):
+        raise ValueError("sign without digits")
+    with warnings.catch_warnings():
+        # older numpy warns, and returns what it read, where it stops early
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.fromstring(body, dtype=np.int64, sep=" ").astype(float)
+
+
 def read_pnm(path) -> ImageTensor:
     """Read a plain-text PGM/PPM written by write_pnm (comments allowed)."""
     text = Path(path).read_text(encoding="ascii")
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
+    # the magic, width, height and maxval tokens, then the sample body in one string
+    tokens = " ".join(line.split("#", 1)[0] for line in text.splitlines()).split(maxsplit=4)
     if not tokens or tokens[0] not in ("P2", "P3"):
         raise ValueError(f"{path}: expected plain PGM(P2)/PPM(P3) header")
     channels = 1 if tokens[0] == "P2" else 3
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
-        samples = np.array([int(t) for t in tokens[4:]], dtype=float)
-    except (ValueError, IndexError) as e:
+        samples = _parse_samples(tokens[4] if len(tokens) > 4 else "")
+    except (ValueError, DeprecationWarning) as e:
         raise ValueError(f"{path}: malformed PNM payload") from e
     if maxval < 1:
         raise ValueError(f"{path}: maxval must be >= 1, got {maxval}")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from siotsec import (
     AntennaConfig,
@@ -14,6 +14,7 @@ from siotsec import (
     snr_pdf,
     snr_quantile,
 )
+from siotsec import channel
 from siotsec.channel import MC_MAX_SAMPLES
 
 MODELS = [SnrModel(1.0, 1), SnrModel(1.0, 9), SnrModel(0.5, 2), SnrModel(3.0, 4)]
@@ -82,6 +83,43 @@ def test_cdf_rejects_negative():
         for x in (-0.5, np.nan, np.inf, -np.inf, [1.0, np.nan, 2.0], [1.0, -2.0, 3.0]):
             with pytest.raises(ValueError, match=r"^x must be finite and >= 0$"):
                 fn(SnrModel(1.0, 1), x)
+
+
+def reference_pdf(model: SnrModel, x):
+    """snr_pdf written out whole: guard, x = 0 branch, formula and float conversion."""
+    x = np.asarray(x, dtype=float)
+    k, s = model.gamma_shape, model.mean_branch_snr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logpdf = (k - 1) * np.log(x) - x / s - special.gammaln(k) - k * np.log(s)
+        out = np.exp(logpdf)
+    out = np.where(x == 0, 1.0 / s if k == 1 else 0.0, out)
+    return out if out.ndim else float(out)
+
+
+def reference_cdf(model: SnrModel, x):
+    """snr_cdf written out whole."""
+    out = special.gammainc(model.gamma_shape, np.asarray(x, dtype=float) / model.mean_branch_snr)
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("model", [SnrModel(1.0, 1), SnrModel(2.5, 1), SnrModel(0.3, 9),
+                                   SnrModel(40.0, 64)])
+def test_public_pdf_and_cdf_wrap_the_bare_kernels(model):
+    inputs = [0.0, 0, 1e-300, 0.7, 5.0, 1e3, np.float64(2.0), np.array(0.0), np.array(3.0),
+              np.array([0.0, 1e-3, 2.0, 50.0]), np.array([[0.0, 1.0], [4.0, 1e4]])]
+    for x in inputs:
+        for public, reference in ((snr_pdf, reference_pdf), (snr_cdf, reference_cdf)):
+            got, want = public(model, x), reference(model, x)
+            assert type(got) is type(want)
+            assert np.asarray(got).shape == np.asarray(want).shape
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (public, x)
+    # the quadrature nodes call the bare formulas: numpy scalars, and at x = 0
+    # the density's log form, which only snr_pdf replaces
+    assert type(channel._pdf(model, 0.5)) is np.float64
+    assert type(channel._cdf(model, 0.5)) is np.float64
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_zero = channel._pdf(model, 0.0)
+    assert np.isnan(at_zero) if model.gamma_shape == 1 else at_zero == 0.0
 
 
 def test_cdf_monotone_on_grid():

@@ -283,7 +283,7 @@ def test_bad_values_fail_at_parse_naming_the_field(capsys, tmp_path, monkeypatch
     (["ssop", "--rate", "2000"], None, "SOP"),
     (None, "rate_threshold = 2000", "SOP"),
     (["sop", "--snr-e-db", "3070"], None, "SOP"),
-    (["pnz", "--snr-e-db", "3070"], None, "PNZ"),
+    (["asc", "--snr-e-db", "3070"], None, "ASC"),
     (["asc", "--snr-b-db", "3070", "--snr-e-db", "3000"], None, "ASC"),
 ])
 def test_quadrature_beyond_the_float_range_is_one_error_line(capsys, tmp_path, argv, fig3,
@@ -360,7 +360,8 @@ print(json.dumps(report))
 
 def test_scipy_loads_on_the_first_call_that_needs_it(tmp_path):
     # scipy.special takes about 0.45 s to import and scipy.integrate 0.35 s more;
-    # the Monte Carlo, dfp, attack and fig5 routes call neither
+    # the Monte Carlo, dfp, attack and fig5 routes call neither, and PNZ's
+    # closed form and the warden need only scipy.special
     unloaded = [["attack"], ["attack", "--save-image", str(tmp_path / "adv.pgm")], ["dfp"],
                 ["dfp", "--method", "mc", "--mc-samples", "70000"],
                 *([metric, "--method", "mc", "--mc-samples", "70000"]
@@ -368,14 +369,16 @@ def test_scipy_loads_on_the_first_call_that_needs_it(tmp_path):
                 ["sweep", "--spec", str(Path(__file__).parent / "golden" / "fig5.cfg")]]
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
-                          json.dumps(unloaded + [["dep"], ["sop"]])],
+                          json.dumps(unloaded + [["pnz"], ["dep"], ["sop"]])],
                          capture_output=True, text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src})
     report = json.loads(out.stdout)
-    assert [step for step, _, _ in report[2:]] == [" ".join(a) for a in unloaded] + ["dep", "sop"]
-    for step, code, loaded in report[:-2]:
+    assert [step for step, _, _ in report[2:]] == ([" ".join(a) for a in unloaded]
+                                                   + ["pnz", "dep", "sop"])
+    for step, code, loaded in report[:-3]:
         assert (code, loaded) == (0, []), step
-    (_, dep_code, after_dep), (_, sop_code, after_sop) = report[-2:]
-    assert dep_code == 0 and "scipy.special" in after_dep
-    assert "scipy.integrate" not in after_dep
+    (_, pnz_code, after_pnz), (_, dep_code, after_dep), (_, sop_code, after_sop) = report[-3:]
+    assert pnz_code == 0 and "scipy.special" in after_pnz
+    assert "scipy.integrate" not in after_pnz
+    assert dep_code == 0 and "scipy.integrate" not in after_dep
     assert sop_code == 0 and "scipy.integrate" in after_sop

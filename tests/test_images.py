@@ -170,6 +170,43 @@ def test_pnm_rejects_bad_payloads(tmp_path):
         read_pnm(bad)
 
 
+# body -> samples read, or None where read_pnm raises ValueError; a 2x1 gray
+# image, maxval 9.  As a per-token int() parser reads them, except "0_3",
+# which int() reads as 3: PNM samples are plain decimal digits.
+_PNM_BODIES = {
+    "3 4": [3, 4], "+3 4": [3, 4], "-0 4": [0, 4], "03\n4 # four\n": [3, 4],
+    "1.5 2": None, "0x1 2": None, "0_3 4": None, "1e0 2": None, "3,4": None,
+    "3": None, "3 4 5": None, "": None,
+    "- 3 4": None, "3 4 -": None, "3 + 4": None, "--3 4": None, "3-4 5": None,
+    "-1 4": None, "3 10": None,
+}
+
+
+@pytest.mark.parametrize("body", list(_PNM_BODIES))
+def test_read_pnm_accepts_and_rejects_sample_bodies(tmp_path, body):
+    path = tmp_path / "b.pgm"
+    path.write_text(f"P2\n2 1\n9\n{body}")
+    want = _PNM_BODIES[body]
+    if want is None:
+        with pytest.raises(ValueError, match=r"malformed PNM payload|expected 2 samples|"
+                                             r"outside \[0, 9\]"):
+            read_pnm(path)
+    else:
+        assert read_pnm(path).values.ravel().tolist() == [v / 9 for v in want]
+
+
+def test_read_pnm_reads_a_long_body_like_a_per_token_parser(tmp_path):
+    img = random_image(32, 32, 3, RngSeed(4, 0))
+    path = tmp_path / "long.ppm"
+    write_pnm(img, path)
+    tokens = path.read_text().split()
+    levels = np.array([int(t) for t in tokens[4:]], dtype=float)
+    assert np.array_equal(read_pnm(path).values, (levels / 255).reshape(32, 32, 3))
+    path.write_text(path.read_text() + "7\n")
+    with pytest.raises(ValueError, match="expected 3072 samples, found 3073"):
+        read_pnm(path)
+
+
 def test_pnm_comments_ignored(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_text("P2 # plain gray\n# size\n2 1\n255\n128 255\n")

@@ -1,6 +1,8 @@
 import itertools
+import math
 
 import numpy as np
+import oracles
 import pytest
 
 from siotsec import (
@@ -196,6 +198,19 @@ def test_snr_saving_integrates_each_snr_point_once(monkeypatch, sdep, saving, ev
     assert len(points) == len(set(points)) == evals
 
 
+@pytest.mark.parametrize("sdep", [0.3, 0.7])
+def test_snr_saving_tends_to_its_diversity_limit(sdep):
+    # SSOP = (1 - sdep) * SOP and SOP ~ s_B^-k_B at high SNR, so as the target
+    # falls the saving tends to -10 log10(1 - sdep) / k_B dB
+    limit = -10.0 * math.log10(1.0 - sdep)
+    bracket = (-20.0, 120.0)
+    saving = snr_saving_db(siso(1.0, 1.0), SemanticProfile(sdep), 1e-4, bracket=bracket)
+    assert abs(saving - limit) <= 2 * secrecy.SAVING_TOL_DB
+    savings = [snr_saving_db(FIG3_SCENARIO, SemanticProfile(sdep), target, bracket=bracket)
+               for target in (1e-2, 1e-4, 1e-6)]
+    assert savings[0] > savings[1] > savings[2] > limit / 9
+
+
 def test_snr_saving_bracket_and_input_errors():
     with pytest.raises(ValueError):
         snr_saving_db(FIG3_SCENARIO, SemanticProfile(0.3), 0.0)
@@ -223,25 +238,21 @@ def test_scenario_validation():
 
 def _checked_reference(metric, s: SecrecyScenario) -> float:
     """metric(s) with integrands that call the public, checked snr_pdf/snr_cdf."""
+    x_b = snr_quantile(s.snr_b, 1.0 - secrecy._TAIL_PROB)
     x_e = snr_quantile(s.snr_e, 1.0 - secrecy._TAIL_PROB)
     if metric is sop_numeric:
         pow2 = 2.0**s.rate_threshold
         val = secrecy._quad(
             lambda x: snr_pdf(s.snr_e, x) * snr_cdf(s.snr_b, pow2 * (1.0 + x) - 1.0),
-            0.0, x_e, "SOP")
+            0.0, x_e, "SOP", (x_b + 1.0) / pow2 - 1.0)
         return min(1.0, max(0.0, val))
-    if metric is pnz:
-        val = secrecy._quad(lambda x: snr_pdf(s.snr_e, x) * (1.0 - snr_cdf(s.snr_b, x)),
-                            0.0, x_e, "PNZ")
-        return min(1.0, max(0.0, val))
-    x_max = max(snr_quantile(s.snr_b, 1.0 - secrecy._TAIL_PROB), x_e)
     val = secrecy._quad(
         lambda x: snr_cdf(s.snr_e, x) * (1.0 - snr_cdf(s.snr_b, x)) / (1.0 + x),
-        0.0, x_max, "ASC")
+        0.0, max(x_b, x_e), "ASC", min(x_b, x_e))
     return max(0.0, val / secrecy._LN2)
 
 
-@pytest.mark.parametrize("metric", [sop_numeric, pnz, asc], ids=["sop", "pnz", "asc"])
+@pytest.mark.parametrize("metric", [sop_numeric, asc], ids=["sop", "asc"])
 def test_numeric_metrics_check_inputs_once_per_call(monkeypatch, metric):
     checks = []
     check = channel._check_nonnegative
@@ -258,19 +269,24 @@ def test_numeric_metrics_check_inputs_once_per_call(monkeypatch, metric):
 
 
 def test_integrands_read_only_finite_nonnegative_snrs(monkeypatch):
-    # the integrands call channel's unchecked kernels; this is the check they skip
-    args = []
+    # the integrands call channel's bare formulas; this is the check they skip,
+    # and _pdf, which has no x = 0 branch, must read only x > 0
+    args, pdf_args = [], []
 
-    def recorder(kernel):
-        return lambda model, x: args.append(x) or kernel(model, x)
+    def recorder(kernel, *logs):
+        def call(model, x):
+            for log in logs:
+                log.append(x)
+            return kernel(model, x)
+        return call
 
-    monkeypatch.setattr(secrecy, "_pdf", recorder(channel._pdf))
-    monkeypatch.setattr(secrecy, "_cdf", recorder(channel._cdf))
+    monkeypatch.setattr(secrecy, "_pdf", recorder(channel._pdf, args, pdf_args))
+    monkeypatch.setattr(secrecy, "_cdf", recorder(channel._cdf, args))
     overflows = 0
     for kb, ke, db_b, db_e, rate in itertools.product(
             (1, 4, 64), (1, 4, 64), (-20, 0, 30, 60), (-20, 0, 30, 60), (0.0, 1.0, 1023.0)):
         s = shaped(10.0 ** (db_b / 10), 10.0 ** (db_e / 10), kb, ke, rs=rate)
-        for metric in (sop_numeric, pnz, asc):
+        for metric in (sop_numeric, asc):
             args.clear()
             try:
                 metric(s)
@@ -285,14 +301,15 @@ def test_integrands_read_only_finite_nonnegative_snrs(monkeypatch):
             nodes = np.array(args)
             assert nodes.size > 0
             assert np.all(np.isfinite(nodes)) and np.all(nodes >= 0.0)
+    assert pdf_args and min(pdf_args) > 0.0 and np.all(np.isfinite(pdf_args))
     # the same calls raise QuadratureError as when every node went through the check
     assert overflows == 120
 
 
 def test_quadrature_message_is_not_a_warning(capsys, monkeypatch):
-    # scipy calls this ASC integral "probably divergent, or slowly convergent";
-    # its residual is within _QUAD_FAIL, so the value stands and nothing is
-    # printed (a warning would fail this test, as tier-1 turns warnings into errors)
+    # scipy reports roundoff on this ASC integral; its residual is within
+    # _QUAD_FAIL, so the value stands and nothing is printed (a warning
+    # would fail this test, as tier-1 turns warnings into errors)
     from scipy import integrate
 
     messages = []
@@ -305,12 +322,15 @@ def test_quadrature_message_is_not_a_warning(capsys, monkeypatch):
         return out
 
     monkeypatch.setattr(integrate, "quad", recording_quad)
-    s = SingleMetricParams(metric="asc", snr_b_db=-20.0, eve_snr_db=0.0, tx_antennas=2,
-                           rx_antennas=2, eve_antennas=2).scenario()
-    assert f"{asc(s):.6e}" == "7.089144e-09"
-    assert any("divergent" in m for m in messages)
-    assert cli.main(["asc", "--snr-b-db", "-20", "--snr-e-db", "0", "--tx-antennas", "2",
-                     "--rx-antennas", "2", "--eve-antennas", "2"]) == 0
+    s = SingleMetricParams(metric="asc", snr_b_db=60.0, eve_snr_db=38.0, tx_antennas=1,
+                           rx_antennas=64, eve_antennas=2).scenario()
+    value = asc(s)
+    assert f"{value:.6e}" == "1.268676e+01"
+    assert any("roundoff" in m for m in messages)
+    assert abs(value - oracles.asc(64, s.snr_b.mean_branch_snr, 2, s.snr_e.mean_branch_snr)) \
+        <= oracles.ASC_ABS
+    assert cli.main(["asc", "--snr-b-db", "60", "--snr-e-db", "38", "--tx-antennas", "1",
+                     "--rx-antennas", "64", "--eve-antennas", "2"]) == 0
     out, err = capsys.readouterr()
-    assert out.splitlines()[-2:] == ["asc", "7.089144e-9"]
+    assert out.splitlines()[-2:] == ["asc", "1.268676e1"]
     assert err == ""
